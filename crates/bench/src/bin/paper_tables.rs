@@ -34,16 +34,18 @@
 use bench::exp;
 use bench::profile::{traced_e2_frame, traced_fault_frame, traced_pipe_frame, traced_sched_frame};
 use bench::Table;
-use simcell::{chrome_trace_json, parse_chrome_trace};
+use simcell::trace::{FAULT_LANE_BASE, PIPE_LANE_BASE, SCHED_LANE_BASE};
+use simcell::{chrome_trace_json, parse_chrome_trace, Machine};
 
 /// An experiment id paired with its runner.
 type Runner = (&'static str, fn(bool) -> Table);
 
-/// Runs a traced E2 frame and writes the Chrome trace JSON to `path`,
-/// then reads the file back and round-trips it through the trace parser
-/// so a write that produced malformed or truncated JSON fails loudly.
-fn write_trace(path: &str) {
-    let (machine, stats) = traced_e2_frame(true);
+/// Writes `machine`'s event log to `path` as Chrome trace JSON, then
+/// reads the file back and round-trips it through the trace parser so
+/// a write that produced malformed or truncated JSON fails loudly.
+/// `lanes` is `(base, count)`: the export must name at least `count`
+/// lanes at or above tid `base`. `summary` says what was traced.
+fn write_trace(path: &str, machine: &Machine, lanes: Option<(u64, usize)>, summary: String) {
     let json = chrome_trace_json(machine.events());
     std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     let back = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
@@ -65,16 +67,20 @@ fn write_trace(path: &str) {
         machine.events().len() - completed_offloads,
         "{path}: parsed payload event count must match the event log"
     );
+    if let Some((base, count)) = lanes {
+        let named = parsed
+            .iter()
+            .filter(|e| e.ph == 'M' && e.tid >= base)
+            .count();
+        assert!(
+            named >= count,
+            "{path}: expected at least {count} named lanes from tid {base}, found {named}"
+        );
+    }
     eprintln!(
-        "wrote {path}: {} events from one offloaded frame ({} host cycles, {} pairs) — \
-         open in https://ui.perfetto.dev (see PROFILING.md)",
-        machine.events().len(),
-        stats.host_cycles,
-        stats.pairs,
+        "wrote {path}: {} events from {summary}",
+        machine.events().len()
     );
-    write_sched_trace(&suffixed_trace_path(path, "sched"));
-    write_fault_trace(&suffixed_trace_path(path, "faults"));
-    write_pipe_trace(&suffixed_trace_path(path, "pipe"));
 }
 
 /// Derives a sibling trace path written next to the main one:
@@ -86,129 +92,56 @@ fn suffixed_trace_path(path: &str, suffix: &str) -> String {
     }
 }
 
-/// Runs one work-stealing E15 frame and writes its Chrome trace —
-/// scheduler lanes included — to `path`, round-tripping it through the
-/// parser with the same payload arithmetic as the main trace (every
-/// scheduler event exports as exactly one payload record).
-fn write_sched_trace(path: &str) {
+/// Writes the four `--trace` files: the E2 frame to `path`, and next
+/// to it a work-stealing E15 frame (scheduler lanes), an E16 frame
+/// under a 5% fault plan (fault lanes) and a pipelined E17 staged
+/// frame (pipeline lanes). Every scheduler, fault and pipeline event
+/// exports as exactly one payload record.
+fn write_traces(path: &str) {
+    let (machine, stats) = traced_e2_frame(true);
+    let summary = format!(
+        "one offloaded frame ({} host cycles, {} pairs) — open in https://ui.perfetto.dev \
+         (see PROFILING.md)",
+        stats.host_cycles, stats.pairs,
+    );
+    write_trace(path, &machine, None, summary);
+
     let (machine, report) = traced_sched_frame(true);
-    let json = chrome_trace_json(machine.events());
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    let back = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let parsed = parse_chrome_trace(&back)
-        .unwrap_or_else(|e| panic!("{path} does not parse as a Chrome trace: {e}"));
-    let payload = parsed.iter().filter(|e| e.ph != 'M').count();
-    let completed_offloads = machine
-        .events()
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, simcell::EventKind::OffloadEnd { .. }))
-        .count();
-    assert_eq!(
-        payload,
-        machine.events().len() - completed_offloads,
-        "{path}: parsed payload event count must match the event log"
+    let summary = format!(
+        "one work-stealing E15 frame ({} tiles, {} steals) — the scheduler lanes walkthrough \
+         in PROFILING.md reads this file",
+        report.tiles, report.steals,
     );
-    let sched_lanes = parsed
-        .iter()
-        .filter(|e| e.ph == 'M' && e.tid >= simcell::trace::SCHED_LANE_BASE)
-        .count();
-    assert!(
-        sched_lanes >= usize::from(report.accels),
-        "{path}: every dispatch lane must be named in the export"
+    let lanes = Some((SCHED_LANE_BASE, usize::from(report.accels)));
+    write_trace(
+        &suffixed_trace_path(path, "sched"),
+        &machine,
+        lanes,
+        summary,
     );
-    eprintln!(
-        "wrote {path}: {} events from one work-stealing E15 frame ({} tiles, {} steals) — \
-         the scheduler lanes walkthrough in PROFILING.md reads this file",
-        machine.events().len(),
-        report.tiles,
-        report.steals,
-    );
-}
 
-/// Runs one work-stealing E16 frame under a 5% fault plan and writes
-/// its Chrome trace — fault lanes included — to `path`, round-tripping
-/// it through the parser with the same payload arithmetic as the other
-/// traces (every fault and recovery event exports as exactly one
-/// payload record).
-fn write_fault_trace(path: &str) {
     let (machine, report) = traced_fault_frame(true);
-    let json = chrome_trace_json(machine.events());
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    let back = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let parsed = parse_chrome_trace(&back)
-        .unwrap_or_else(|e| panic!("{path} does not parse as a Chrome trace: {e}"));
-    let payload = parsed.iter().filter(|e| e.ph != 'M').count();
-    let completed_offloads = machine
-        .events()
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, simcell::EventKind::OffloadEnd { .. }))
-        .count();
-    assert_eq!(
-        payload,
-        machine.events().len() - completed_offloads,
-        "{path}: parsed payload event count must match the event log"
+    let summary = format!(
+        "one E16 frame under fire ({} faults, {} retries, {} host fallbacks) — the faults lane \
+         walkthrough in PROFILING.md reads this file",
+        report.faults, report.retries, report.fallbacks,
     );
-    let fault_lanes = parsed
-        .iter()
-        .filter(|e| e.ph == 'M' && e.tid >= simcell::trace::FAULT_LANE_BASE)
-        .count();
-    assert!(
-        fault_lanes >= 1,
-        "{path}: a frame under fire must name at least one fault lane"
+    let lanes = Some((FAULT_LANE_BASE, 1));
+    write_trace(
+        &suffixed_trace_path(path, "faults"),
+        &machine,
+        lanes,
+        summary,
     );
-    eprintln!(
-        "wrote {path}: {} events from one E16 frame under fire ({} faults, {} retries, \
-         {} host fallbacks) — the faults lane walkthrough in PROFILING.md reads this file",
-        machine.events().len(),
-        report.faults,
-        report.retries,
-        report.fallbacks,
-    );
-}
 
-/// Runs one pipelined E17 staged frame and writes its Chrome trace —
-/// pipeline lanes included — to `path`, round-tripping it through the
-/// parser with the same payload arithmetic as the other traces (every
-/// pipeline event exports as exactly one payload record).
-fn write_pipe_trace(path: &str) {
     let (machine, report) = traced_pipe_frame(true);
-    let json = chrome_trace_json(machine.events());
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    let back = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let parsed = parse_chrome_trace(&back)
-        .unwrap_or_else(|e| panic!("{path} does not parse as a Chrome trace: {e}"));
-    let payload = parsed.iter().filter(|e| e.ph != 'M').count();
-    let completed_offloads = machine
-        .events()
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, simcell::EventKind::OffloadEnd { .. }))
-        .count();
-    assert_eq!(
-        payload,
-        machine.events().len() - completed_offloads,
-        "{path}: parsed payload event count must match the event log"
+    let summary = format!(
+        "one pipelined E17 staged frame ({} stages x {} chunks, {} input-wait cycles, {} \
+         backpressure cycles) — the pipeline lane walkthrough in PROFILING.md reads this file",
+        report.stages, report.chunks, report.input_wait_cycles, report.backpressure_cycles,
     );
-    let pipe_lanes = parsed
-        .iter()
-        .filter(|e| e.ph == 'M' && e.tid >= simcell::trace::PIPE_LANE_BASE)
-        .count();
-    assert!(
-        pipe_lanes >= usize::from(report.stages),
-        "{path}: every pipeline stage lane must be named in the export"
-    );
-    eprintln!(
-        "wrote {path}: {} events from one pipelined E17 staged frame ({} stages x {} chunks, \
-         {} input-wait cycles, {} backpressure cycles) — the pipeline lane walkthrough in \
-         PROFILING.md reads this file",
-        machine.events().len(),
-        report.stages,
-        report.chunks,
-        report.input_wait_cycles,
-        report.backpressure_cycles,
-    );
+    let lanes = Some((PIPE_LANE_BASE, usize::from(report.stages)));
+    write_trace(&suffixed_trace_path(path, "pipe"), &machine, lanes, summary);
 }
 
 fn main() {
@@ -220,7 +153,7 @@ fn main() {
             eprintln!("--trace needs a file argument, e.g. --trace e2.json");
             std::process::exit(2);
         };
-        write_trace(path);
+        write_traces(path);
         return;
     }
     if args.iter().any(|a| a == "--stats") {

@@ -3,16 +3,163 @@
 //! Pins the properties `PROFILING.md` relies on: traces are valid Chrome
 //! trace-event JSON, the Figure 2 overlap is visible in the exported
 //! lanes, tracing is zero simulated cost and allocation-free when
-//! disabled, and the always-on counters agree with the event log.
+//! disabled, and the always-on counters agree with the event log. The
+//! exported JSON itself is pinned byte for byte against the golden
+//! files in `tests/golden/traces/`.
+
+use std::path::PathBuf;
 
 use bench::profile::{
     traced_e2_frame, traced_e2_frame_cycles, traced_fault_frame, traced_pipe_frame,
     traced_sched_frame,
 };
+use dma::{Tag, TagMask};
 use simcell::trace::{accel_tid, dma_tid, fault_tid, pipe_tid, sched_tid};
 use simcell::{
-    chrome_trace_json, parse_chrome_trace, ChromeEvent, EventKind, Machine, MachineConfig,
+    chrome_trace_json, parse_chrome_trace, ChromeEvent, EventKind, FaultPlan, GatherPlan, Machine,
+    MachineConfig, SimError,
 };
+
+/// Elements of the capture's main-memory array: large enough for an
+/// outer access spanning several 4 KiB staging chunks.
+const CAPTURE_ELEMS: u32 = 4096;
+
+/// One small traced capture that issues every transfer family once:
+/// explicit `dma_get`/`dma_put` with a wait, outer pod and byte reads
+/// and writes (one staging chunk and several), cached reads, writes
+/// and a flush, and one gather — then, under a seeded fault plan,
+/// explicit transfers until one has been dropped and one corrupted.
+fn transfer_capture() -> Machine {
+    let mut machine = Machine::new(MachineConfig::small()).expect("config valid");
+    machine.events_mut().set_enabled(true);
+    let remote = machine
+        .alloc_main_slice::<u32>(CAPTURE_ELEMS)
+        .expect("fits");
+    let values: Vec<u32> = (0..CAPTURE_ELEMS)
+        .map(|i| i.wrapping_mul(2_654_435_761))
+        .collect();
+    machine
+        .main_mut()
+        .write_pod_slice(remote, &values)
+        .expect("fits");
+    let at = |index: u32| remote.element(index, 4).expect("in bounds");
+    let tag = Tag::new(3).expect("valid tag");
+    machine
+        .offload(0)
+        .label("transfers")
+        .run(|ctx| -> Result<(), SimError> {
+            let local = ctx.alloc_local_slice::<u32>(64)?;
+            ctx.dma_get(local, at(0), 256, tag)?;
+            ctx.dma_wait_tag(tag);
+            ctx.dma_put(local, at(512), 256, tag)?;
+            ctx.dma_wait(TagMask::ALL);
+
+            let value: u32 = ctx.outer_read_pod(at(7))?;
+            ctx.outer_write_pod(at(9), &value.wrapping_add(1))?;
+            let mut one = [0u8; 40];
+            ctx.outer_read_bytes(at(17), &mut one)?;
+            ctx.outer_write_bytes(at(1025), &one)?;
+            let mut several = vec![0u8; 2 * 4096 + 24];
+            ctx.outer_read_bytes(at(3), &mut several)?;
+            ctx.outer_write_bytes(at(2049), &several)?;
+
+            let mut cache = ctx.new_cache(softcache::CacheConfig::direct_mapped_4k())?;
+            let cached: u32 = ctx.cached_read_pod(&mut cache, at(100))?;
+            ctx.cached_write_pod(&mut cache, at(101), &cached)?;
+            ctx.cached_read_bytes(&mut cache, at(600), &mut one)?;
+            ctx.cached_write_bytes(&mut cache, at(900), &one)?;
+            ctx.cache_flush(&mut cache)?;
+
+            ctx.gather(&GatherPlan::new(remote, 4, vec![40, 41, 42, 7, 300, 301]))?;
+            Ok(())
+        })
+        .expect("launch succeeds")
+        .expect("clean transfers succeed");
+
+    machine.install_fault_plan(
+        FaultPlan::new(0x7A0B)
+            .with_dma_drop(0.2)
+            .with_dma_corrupt(0.2),
+    );
+    let (dropped, corrupted) = machine
+        .offload(0)
+        .label("faulty transfers")
+        .run(|ctx| -> Result<(bool, bool), SimError> {
+            let local = ctx.alloc_local_slice::<u32>(16)?;
+            let (mut dropped, mut corrupted) = (false, false);
+            for i in 0..32u32 {
+                let result = if i % 2 == 0 {
+                    ctx.dma_get(local, at(16 * i), 64, tag)
+                } else {
+                    ctx.dma_put(local, at(2048 + 16 * i), 64, tag)
+                };
+                match result {
+                    Err(SimError::Fault(simcell::FaultError::DmaDropped { .. })) => dropped = true,
+                    Err(SimError::Fault(simcell::FaultError::DmaCorrupted { .. })) => {
+                        corrupted = true
+                    }
+                    other => other?,
+                }
+                if dropped && corrupted {
+                    break;
+                }
+            }
+            ctx.dma_wait(tag.mask());
+            Ok((dropped, corrupted))
+        })
+        .expect("launch succeeds")
+        .expect("only transfer faults fire");
+    assert!(dropped && corrupted, "the seeded plan drops and corrupts");
+    machine
+}
+
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/traces")
+        .join(name)
+}
+
+/// Compares `actual` with the golden trace `name` byte for byte; on a
+/// mismatch the panic names the file and its first differing line.
+fn assert_matches_golden(name: &str, actual: &str) {
+    let path = golden_path(name);
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read golden trace {}: {e}", path.display()));
+    if expected == actual {
+        return;
+    }
+    let (mut want, mut got) = (expected.lines(), actual.lines());
+    let mut line = 1;
+    loop {
+        match (want.next(), got.next()) {
+            (Some(w), Some(g)) if w == g => line += 1,
+            (w, g) => panic!(
+                "{} differs from the rebuilt trace at line {line}:\n  golden:  {}\n  rebuilt: {}",
+                path.display(),
+                w.unwrap_or("<end of file>"),
+                g.unwrap_or("<end of file>"),
+            ),
+        }
+    }
+}
+
+/// The four files `paper_tables --trace e2.json` writes, plus the
+/// transfer-family capture, rebuilt in-process and compared with the
+/// committed goldens: any change to what a transfer records, when, or
+/// in which order shows up here as a named line.
+#[test]
+fn trace_json_matches_the_golden_files() {
+    let traces = [
+        ("e2.json", traced_e2_frame(true).0),
+        ("e2-sched.json", traced_sched_frame(true).0),
+        ("e2-faults.json", traced_fault_frame(true).0),
+        ("e2-pipe.json", traced_pipe_frame(true).0),
+        ("transfers.json", transfer_capture()),
+    ];
+    for (name, machine) in &traces {
+        assert_matches_golden(name, &chrome_trace_json(machine.events()));
+    }
+}
 
 #[test]
 fn events_sort_into_cycle_order() {

@@ -475,11 +475,7 @@ impl DmaEngine {
             tag,
             direction: DmaDirection::Get,
         };
-        self.validate(&request)?;
-        copy_between(remote_mem, remote, local_mem, local, size)?;
-        self.stats.gets += 1;
-        self.stats.bytes_in += u64::from(size);
-        Ok(self.admit(now, request))
+        self.start(now, request, remote_mem, local_mem, false)
     }
 
     /// Issues a `put`: copies `size` bytes from `local` out to `remote`,
@@ -506,20 +502,17 @@ impl DmaEngine {
             tag,
             direction: DmaDirection::Put,
         };
-        self.validate(&request)?;
-        copy_between(local_mem, local, remote_mem, remote, size)?;
-        self.stats.puts += 1;
-        self.stats.bytes_out += u64::from(size);
-        Ok(self.admit(now, request))
+        self.start(now, request, remote_mem, local_mem, false)
     }
 
-    /// A `get` immediately followed by a `wait` on its tag, for callers
+    /// Issues `request` and immediately waits on its tag, for callers
     /// that know the tag's queue is idle (the synchronous outer-access
     /// staging path). The command is issued and retired in one step, so
     /// the per-tag ring and the race tracker's in-flight list are never
     /// touched — every observable (statistics, command ids, race
     /// reports, engine and caller clocks) is bit-identical to
-    /// [`DmaEngine::get`] + [`DmaEngine::wait`] on the tag's mask.
+    /// [`DmaEngine::get`] or [`DmaEngine::put`] followed by
+    /// [`DmaEngine::wait`] on the tag's mask.
     ///
     /// Returns the cycle at which the caller resumes (the wait's return
     /// value).
@@ -528,118 +521,81 @@ impl DmaEngine {
     ///
     /// As for [`DmaEngine::get`].
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn sync_get(
+    pub fn sync(
         &mut self,
         now: u64,
-        local: Addr,
-        remote: Addr,
-        size: u32,
-        tag: Tag,
+        request: DmaRequest,
         remote_mem: &mut MemoryRegion,
         local_mem: &mut MemoryRegion,
     ) -> Result<u64, DmaError> {
-        let request = DmaRequest {
-            local,
-            remote,
-            size,
-            tag,
-            direction: DmaDirection::Get,
-        };
-        self.validate(&request)?;
-        copy_between(remote_mem, remote, local_mem, local, size)?;
-        self.stats.gets += 1;
-        self.stats.bytes_in += u64::from(size);
-        Ok(self.admit_sync(now, request))
-    }
-
-    /// A `put` immediately followed by a `wait` on its tag; see
-    /// [`DmaEngine::sync_get`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`DmaEngine::put`].
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn sync_put(
-        &mut self,
-        now: u64,
-        local: Addr,
-        remote: Addr,
-        size: u32,
-        tag: Tag,
-        remote_mem: &mut MemoryRegion,
-        local_mem: &mut MemoryRegion,
-    ) -> Result<u64, DmaError> {
-        let request = DmaRequest {
-            local,
-            remote,
-            size,
-            tag,
-            direction: DmaDirection::Put,
-        };
-        self.validate(&request)?;
-        copy_between(local_mem, local, remote_mem, remote, size)?;
-        self.stats.puts += 1;
-        self.stats.bytes_out += u64::from(size);
-        Ok(self.admit_sync(now, request))
-    }
-
-    /// [`DmaEngine::admit`] fused with the immediate `wait` that
-    /// follows it on the synchronous path: same charging, same id
-    /// consumption, same race scan, but the command never enters the
-    /// tag ring (it would be popped straight back out).
-    #[inline]
-    fn admit_sync(&mut self, now: u64, request: DmaRequest) -> u64 {
         debug_assert!(
             !self.tag_busy(request.tag),
             "sync transfer requires an idle tag queue"
         );
-        let aligned = request.local.is_aligned_to(DMA_ALIGN)
-            && request.remote.is_aligned_to(DMA_ALIGN)
-            && request.size.is_multiple_of(DMA_ALIGN);
-        let stream = self.timing.stream_cycles_aligned(request.size, aligned);
-        if !aligned {
-            self.stats.misaligned += 1;
-        }
-        let start = now.max(self.engine_free_at);
-        let streamed = start + stream;
-        self.engine_free_at = streamed;
-        let complete_at = streamed + self.timing.latency;
-        self.last_complete_at = complete_at;
-        let id = self.next_id;
-        self.next_id += 1;
-        self.checker.note_sync(id, &request, now);
-        // The wait, viewed from the issuing core's resume point: with
-        // the tag queue otherwise empty the group's finish time is this
-        // command's completion.
-        let issued = now + self.timing.issue_cost;
-        let resume = issued.max(complete_at);
-        self.stats.stall_cycles += resume - issued;
-        resume
+        self.start(now, request, remote_mem, local_mem, true)
     }
 
-    fn admit(&mut self, now: u64, request: DmaRequest) -> u64 {
-        let aligned = request.local.is_aligned_to(DMA_ALIGN)
-            && request.remote.is_aligned_to(DMA_ALIGN)
-            && request.size.is_multiple_of(DMA_ALIGN);
-        let stream = self.timing.stream_cycles_aligned(request.size, aligned);
+    /// The one validate → copy → schedule body behind `get`, `put` and
+    /// `sync`. The engine processes commands serially, starting when
+    /// both the command arrives and the engine is free. A `sync`
+    /// command is retired on the spot: it is race-scanned against
+    /// everything in flight but never queued, and the caller resumes
+    /// when it completes.
+    #[inline]
+    fn start(
+        &mut self,
+        now: u64,
+        request: DmaRequest,
+        remote_mem: &mut MemoryRegion,
+        local_mem: &mut MemoryRegion,
+        sync: bool,
+    ) -> Result<u64, DmaError> {
+        self.validate(&request)?;
+        let DmaRequest {
+            local,
+            remote,
+            size,
+            tag,
+            direction,
+        } = request;
+        match direction {
+            DmaDirection::Get => {
+                copy_between(remote_mem, remote, local_mem, local, size)?;
+                self.stats.gets += 1;
+                self.stats.bytes_in += u64::from(size);
+            }
+            DmaDirection::Put => {
+                copy_between(local_mem, local, remote_mem, remote, size)?;
+                self.stats.puts += 1;
+                self.stats.bytes_out += u64::from(size);
+            }
+        }
+        let aligned = local.is_aligned_to(DMA_ALIGN)
+            && remote.is_aligned_to(DMA_ALIGN)
+            && size.is_multiple_of(DMA_ALIGN);
         if !aligned {
             self.stats.misaligned += 1;
         }
-        // The engine processes commands serially, starting when both the
-        // command arrives and the engine is free.
         let start = now.max(self.engine_free_at);
-        let streamed = start + stream;
-        self.engine_free_at = streamed;
-        let complete_at = streamed + self.timing.latency;
+        self.engine_free_at = start + self.timing.stream_cycles_aligned(size, aligned);
+        let complete_at = self.engine_free_at + self.timing.latency;
         self.last_complete_at = complete_at;
         let id = self.next_id;
         self.next_id += 1;
+        let issued = now + self.timing.issue_cost;
+        if sync {
+            self.checker.note_sync(id, &request, now);
+            // The wait, viewed from the issuing core's resume point: with
+            // the tag queue otherwise empty the group's finish time is
+            // this command's completion.
+            let resume = issued.max(complete_at);
+            self.stats.stall_cycles += resume - issued;
+            return Ok(resume);
+        }
         self.checker.note_issue(id, &request, now);
-        self.queues[request.tag.raw() as usize].push_back(QueuedCmd { id, complete_at });
+        self.queues[tag.raw() as usize].push_back(QueuedCmd { id, complete_at });
         self.inflight_count += 1;
-        now + self.timing.issue_cost
+        Ok(issued)
     }
 
     /// Waits for every in-flight command whose tag is in `mask`.

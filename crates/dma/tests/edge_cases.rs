@@ -5,9 +5,10 @@
 //! preserve from the seed's flat list: empty-group waits are free, tags
 //! are fully reusable after retirement, retirement order does not
 //! confuse the race checker, and overlap reports survive the
-//! reorganisation.
+//! reorganisation. The synchronous entry point is pinned against the
+//! issue-then-wait sequence it fuses.
 
-use dma::{DmaEngine, RaceKind, Tag, TagMask};
+use dma::{DmaDirection, DmaEngine, DmaRequest, DmaStats, RaceKind, RaceReport, Tag, TagMask};
 use memspace::{Addr, MemoryRegion, SpaceId, SpaceKind};
 
 fn setup() -> (MemoryRegion, MemoryRegion, DmaEngine) {
@@ -237,4 +238,81 @@ fn waited_put_does_not_race_with_a_later_overlapping_put() {
         )
         .unwrap();
     assert_eq!(engine.race_checker().detected(), 0);
+}
+
+/// Everything a caller can observe after one transfer: the resume
+/// cycle, the engine's statistics and last completion, its race
+/// reports and the cycle a later full barrier resumes at — plus, kept
+/// apart so a mismatch report stays short, both memories' bytes.
+type Observed = ((u64, DmaStats, u64, Vec<RaceReport>, u64), Vec<u8>);
+
+/// Issues `r` on the queued path (`get` or `put`, by its direction)
+/// and returns the cycle the issuing core resumes at.
+fn issue(
+    engine: &mut DmaEngine,
+    now: u64,
+    r: DmaRequest,
+    main: &mut MemoryRegion,
+    ls: &mut MemoryRegion,
+) -> u64 {
+    let queued = match r.direction {
+        DmaDirection::Get => DmaEngine::get,
+        DmaDirection::Put => DmaEngine::put,
+    };
+    queued(engine, now, r.local, r.remote, r.size, r.tag, main, ls).unwrap()
+}
+
+/// Runs `request` at cycle 10 — through `sync` when `fused`, otherwise
+/// issued and then waited on its tag's mask — after an optional
+/// `background` transfer issued at cycle 0 and left in flight.
+fn observe(request: DmaRequest, background: Option<DmaRequest>, fused: bool) -> Observed {
+    let (mut main, mut ls, mut engine) = setup();
+    let pattern: Vec<u8> = (0..=255).collect();
+    main.write_bytes(remote(0x1000), &pattern).unwrap();
+    ls.write_bytes(local(0x100), &pattern).unwrap();
+    if let Some(bg) = background {
+        issue(&mut engine, 0, bg, &mut main, &mut ls);
+    }
+    let resume = if fused {
+        engine.sync(10, request, &mut main, &mut ls).unwrap()
+    } else {
+        let issued = issue(&mut engine, 10, request, &mut main, &mut ls);
+        engine.wait(request.tag.mask(), issued)
+    };
+    let (stats, last) = (engine.stats(), engine.last_complete_at());
+    let reports = engine.take_race_reports();
+    let barrier = engine.wait(TagMask::ALL, resume);
+    let mut memory = main.read_bytes(remote(0x1000), 0x2000).unwrap().to_vec();
+    memory.extend_from_slice(ls.read_bytes(local(0x100), 0x400).unwrap());
+    ((resume, stats, last, reports, barrier), memory)
+}
+
+#[test]
+fn sync_equals_issue_then_wait_on_the_tag() {
+    let request = |direction, local_off, remote_off, size, raw| DmaRequest {
+        local: local(local_off),
+        remote: remote(remote_off),
+        size,
+        tag: tag(raw),
+        direction,
+    };
+    // Another tag's get still in flight over the same local bytes, so
+    // the sync transfer races with it and stalls behind it.
+    let in_flight = request(DmaDirection::Get, 0x100, 0x1800, 512, 5);
+    let mut raced = 0;
+    for direction in [DmaDirection::Get, DmaDirection::Put] {
+        for (local_off, remote_off, size) in [(0x100, 0x1000, 128), (0x103, 0x1009, 37)] {
+            for background in [None, Some(in_flight)] {
+                let req = request(direction, local_off, remote_off, size, 27);
+                let case = format!("{direction} of {size} B at ls+{local_off:#x}, {background:?}");
+                let (fused, fused_memory) = observe(req, background, true);
+                let (split, split_memory) = observe(req, background, false);
+                assert_eq!(fused, split, "{case}");
+                assert!(fused_memory == split_memory, "{case}: memories differ");
+                raced += fused.3.len();
+                assert_eq!(fused.1.misaligned, u64::from(size == 37));
+            }
+        }
+    }
+    assert!(raced >= 4, "every case with a transfer in flight races");
 }

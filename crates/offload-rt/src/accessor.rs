@@ -10,7 +10,7 @@
 
 use std::marker::PhantomData;
 
-use dma::Tag;
+use dma::{DmaDirection, Tag};
 use memspace::{Addr, Pod};
 use simcell::{AccelCtx, SimError};
 
@@ -79,7 +79,7 @@ impl<T: Pod> ArrayAccessor<T> {
             dirty: false,
             _marker: PhantomData,
         };
-        accessor.transfer(ctx, TransferDir::Get)?;
+        accessor.transfer(ctx, DmaDirection::Get)?;
         ctx.dma_wait_tag(Self::tag());
         // Surface an injected tag timeout before handing the (possibly
         // incomplete) array to the caller.
@@ -154,7 +154,7 @@ impl<T: Pod> ArrayAccessor<T> {
             return Ok(());
         }
         ctx.span_start("accessor.write_back");
-        self.transfer(ctx, TransferDir::Put)?;
+        self.transfer(ctx, DmaDirection::Put)?;
         ctx.dma_wait_tag(Self::tag());
         ctx.check_faults()?;
         self.dirty = false;
@@ -164,7 +164,7 @@ impl<T: Pod> ArrayAccessor<T> {
 
     /// Issues the accessor's logical transfer, split into
     /// DMA-limit-sized commands on the accessor tag (not waited).
-    fn transfer(&self, ctx: &mut AccelCtx<'_>, dir: TransferDir) -> Result<(), SimError> {
+    fn transfer(&self, ctx: &mut AccelCtx<'_>, dir: DmaDirection) -> Result<(), SimError> {
         let tag = Self::tag();
         let bytes = (T::SIZE as u32) * self.len;
         let mut moved = 0u32;
@@ -173,8 +173,8 @@ impl<T: Pod> ArrayAccessor<T> {
             let l = self.local.offset_by(moved)?;
             let r = self.remote.offset_by(moved)?;
             match dir {
-                TransferDir::Get => ctx.dma_get(l, r, chunk, tag)?,
-                TransferDir::Put => ctx.dma_put(l, r, chunk, tag)?,
+                DmaDirection::Get => ctx.dma_get(l, r, chunk, tag)?,
+                DmaDirection::Put => ctx.dma_put(l, r, chunk, tag)?,
             }
             moved += chunk;
         }
@@ -190,12 +190,6 @@ impl<T: Pod> RemoteSlice<T> for ArrayAccessor<T> {
     fn len(&self) -> u32 {
         self.len
     }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TransferDir {
-    Get,
-    Put,
 }
 
 #[cfg(test)]

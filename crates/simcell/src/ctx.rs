@@ -1,13 +1,13 @@
 //! The accelerator execution context.
 
-use dma::{AccessKind, DmaDirection, DmaEngine, Tag, TagMask};
+use dma::{AccessKind, DmaDirection, DmaEngine, DmaRequest, Tag, TagMask};
 use memspace::{AccessMode, Addr, AddrRange, MemoryRegion, ModeSet, Pod};
-use softcache::{CacheBacking, CacheChoice, SoftwareCache, TunedCache};
+use softcache::{CacheBacking, CacheChoice, CacheError, SoftwareCache, TunedCache};
 
 use crate::cost::CostModel;
 use crate::error::SimError;
 use crate::event::{CoreId, EventKind, EventLog};
-use crate::fault::{DmaFault, FaultError, FaultKind, FaultPlane, RecoveryKind};
+use crate::fault::{note_fault, DmaFault, FaultError, FaultKind, FaultPlane, RecoveryKind};
 use crate::trace::MachineStats;
 
 /// DMA tag reserved for synchronous "outer" accesses (the naive
@@ -101,6 +101,20 @@ impl<'m> AccelCtx<'m> {
         self.cost.ls_access * u64::from(bytes.div_ceil(16).max(1))
     }
 
+    /// One direct local-store access of `bytes` at `addr`: charges it,
+    /// notes it for the race checker (so a missing `dma_wait` is
+    /// caught), and rolls a read for poison.
+    #[inline]
+    fn local_access(&mut self, addr: Addr, bytes: u32, kind: AccessKind) -> Result<(), SimError> {
+        self.now += self.ls_cycles(bytes);
+        self.dma
+            .note_local_access(AddrRange::new(addr, bytes)?, kind, self.now);
+        if kind == AccessKind::Read {
+            self.roll_ls_poison()?;
+        }
+        Ok(())
+    }
+
     // ---- fault plane ------------------------------------------------------
 
     /// The sticky fault left by an operation that cannot report errors
@@ -192,22 +206,38 @@ impl<'m> AccelCtx<'m> {
         self.modes.mode_for(addr, len)
     }
 
-    /// Classifies one put against the declared access modes.
+    /// Checks one `dir` transfer of `size` bytes at `remote` against
+    /// the declared access modes: the single point where an offload's
+    /// mode contract is enforced.
     ///
-    /// `Ok(None)` means the offload declared nothing (legacy contract:
-    /// journal conservatively). `Ok(Some(mode))` is a declared writable
-    /// range. A store into a `read` range — or outside every declared
-    /// range — of a mode-annotated offload is an undeclared write: the
-    /// dynamic race analyzer records it and the put is rejected before
-    /// any byte moves.
+    /// `Ok(None)` means the offload declared nothing (legacy permissive
+    /// contract: puts journal conservatively). `Ok(Some(mode))` is a
+    /// declared range licensing `dir` — `write`/`update` for a put,
+    /// `read`/`update` for a get. Anything else in a mode-annotated
+    /// offload, including a range no declaration covers, is rejected
+    /// before any byte moves: an undeclared write (which the dynamic
+    /// race analyzer also records) or an undeclared read.
     #[inline]
-    fn put_mode(&mut self, remote: Addr, size: u32) -> Result<Option<AccessMode>, SimError> {
+    fn check_mode(
+        &mut self,
+        dir: DmaDirection,
+        remote: Addr,
+        size: u32,
+    ) -> Result<Option<AccessMode>, SimError> {
         if self.modes.is_empty() {
             return Ok(None);
         }
-        match self.modes.mode_for(remote, size) {
-            mode @ Some(AccessMode::Write | AccessMode::Update) => Ok(mode),
-            declared => {
+        let declared = self.modes.mode_for(remote, size);
+        match (dir, declared) {
+            (_, Some(AccessMode::Update))
+            | (DmaDirection::Get, Some(AccessMode::Read))
+            | (DmaDirection::Put, Some(AccessMode::Write)) => Ok(declared),
+            (DmaDirection::Get, _) => Err(SimError::UndeclaredRead {
+                addr: remote,
+                len: size,
+                declared,
+            }),
+            (DmaDirection::Put, _) => {
                 self.dma.note_undeclared_write(
                     AddrRange::new(remote, size)?,
                     declared == Some(AccessMode::Read),
@@ -219,29 +249,6 @@ impl<'m> AccelCtx<'m> {
                     declared,
                 })
             }
-        }
-    }
-
-    /// Classifies one gather descriptor against the declared access
-    /// modes: the read-side mirror of [`AccelCtx::put_mode`].
-    ///
-    /// `Ok(None)` means the offload declared nothing (legacy
-    /// permissive contract). `Ok(Some(mode))` is a declared readable
-    /// range. A gather from a `write` range — or outside every
-    /// declared range — of a mode-annotated offload is an undeclared
-    /// read, rejected before any byte moves.
-    #[inline]
-    fn read_mode(&mut self, remote: Addr, size: u32) -> Result<Option<AccessMode>, SimError> {
-        if self.modes.is_empty() {
-            return Ok(None);
-        }
-        match self.modes.mode_for(remote, size) {
-            mode @ Some(AccessMode::Read | AccessMode::Update) => Ok(mode),
-            declared => Err(SimError::UndeclaredRead {
-                addr: remote,
-                len: size,
-                declared,
-            }),
         }
     }
 
@@ -351,33 +358,6 @@ impl<'m> AccelCtx<'m> {
         self.put_journal.truncate(mark);
     }
 
-    /// Records an injected fault: always counts it, and records the
-    /// structured event when the log is on. Zero simulated cost.
-    fn note_fault(&mut self, at: u64, fault: FaultKind) {
-        self.stats.faults_injected += 1;
-        match fault {
-            FaultKind::DmaCorrupt { .. } => self.stats.fault_dma_corrupt += 1,
-            FaultKind::DmaDrop { .. } => self.stats.fault_dma_drop += 1,
-            FaultKind::TagTimeout { stall } => {
-                self.stats.fault_timeouts += 1;
-                self.stats.fault_stall_cycles += stall;
-            }
-            FaultKind::AccelStall { cycles } => {
-                self.stats.fault_stalls += 1;
-                self.stats.fault_stall_cycles += cycles;
-            }
-            FaultKind::AccelDeath => self.stats.fault_deaths += 1,
-            FaultKind::LsPoison => self.stats.fault_ls_poison += 1,
-        }
-        self.events.record(
-            at,
-            EventKind::FaultInjected {
-                accel: self.accel_index,
-                fault,
-            },
-        );
-    }
-
     /// XORs the first quadword at `addr` (in `region`) with a marker —
     /// the observable damage of a corrupted transfer.
     fn scribble(region: &mut MemoryRegion, addr: Addr, len: u32) -> Result<(), SimError> {
@@ -391,16 +371,6 @@ impl<'m> AccelCtx<'m> {
         Ok(())
     }
 
-    /// Rolls the per-transfer corrupt/drop decision (no draw while the
-    /// plane is inactive or both rates are zero).
-    fn roll_transfer(&mut self) -> Option<DmaFault> {
-        if self.faults.active() {
-            self.faults.roll_dma()
-        } else {
-            None
-        }
-    }
-
     /// Rolls the local-store poison decision for one charged read; a
     /// hit models a detected parity error (the access was paid for,
     /// the data is unusable).
@@ -408,7 +378,13 @@ impl<'m> AccelCtx<'m> {
         if self.faults.active() {
             let rate = self.faults.plan().map(|p| p.ls_poison).unwrap_or(0.0);
             if self.faults.roll(rate) {
-                self.note_fault(self.now, FaultKind::LsPoison);
+                note_fault(
+                    self.stats,
+                    self.events,
+                    self.accel_index,
+                    self.now,
+                    FaultKind::LsPoison,
+                );
                 return Err(FaultError::LsPoisoned {
                     accel: self.accel_index,
                 }
@@ -584,13 +560,7 @@ impl<'m> AccelCtx<'m> {
     ///
     /// Fails on bounds or space violations.
     pub fn local_read_pod<T: Pod>(&mut self, addr: Addr) -> Result<T, SimError> {
-        self.now += self.ls_cycles(T::SIZE as u32);
-        self.dma.note_local_access(
-            AddrRange::new(addr, T::SIZE as u32)?,
-            AccessKind::Read,
-            self.now,
-        );
-        self.roll_ls_poison()?;
+        self.local_access(addr, T::SIZE as u32, AccessKind::Read)?;
         Ok(self.ls.read_pod(addr)?)
     }
 
@@ -600,12 +570,7 @@ impl<'m> AccelCtx<'m> {
     ///
     /// Fails on bounds or space violations.
     pub fn local_write_pod<T: Pod>(&mut self, addr: Addr, value: &T) -> Result<(), SimError> {
-        self.now += self.ls_cycles(T::SIZE as u32);
-        self.dma.note_local_access(
-            AddrRange::new(addr, T::SIZE as u32)?,
-            AccessKind::Write,
-            self.now,
-        );
+        self.local_access(addr, T::SIZE as u32, AccessKind::Write)?;
         Ok(self.ls.write_pod(addr, value)?)
     }
 
@@ -635,11 +600,7 @@ impl<'m> AccelCtx<'m> {
         count: u32,
         out: &mut Vec<T>,
     ) -> Result<(), SimError> {
-        let bytes = (T::SIZE as u32) * count;
-        self.now += self.ls_cycles(bytes);
-        self.dma
-            .note_local_access(AddrRange::new(addr, bytes)?, AccessKind::Read, self.now);
-        self.roll_ls_poison()?;
+        self.local_access(addr, (T::SIZE as u32) * count, AccessKind::Read)?;
         self.ls.read_pod_slice_into(addr, count, out)?;
         Ok(())
     }
@@ -650,10 +611,7 @@ impl<'m> AccelCtx<'m> {
     ///
     /// Fails on bounds or space violations.
     pub fn local_write_slice<T: Pod>(&mut self, addr: Addr, values: &[T]) -> Result<(), SimError> {
-        let bytes = (T::SIZE * values.len()) as u32;
-        self.now += self.ls_cycles(bytes);
-        self.dma
-            .note_local_access(AddrRange::new(addr, bytes)?, AccessKind::Write, self.now);
+        self.local_access(addr, (T::SIZE * values.len()) as u32, AccessKind::Write)?;
         Ok(self.ls.write_pod_slice(addr, values)?)
     }
 
@@ -663,13 +621,7 @@ impl<'m> AccelCtx<'m> {
     ///
     /// Fails on bounds or space violations.
     pub fn local_read_bytes(&mut self, addr: Addr, out: &mut [u8]) -> Result<(), SimError> {
-        self.now += self.ls_cycles(out.len() as u32);
-        self.dma.note_local_access(
-            AddrRange::new(addr, out.len() as u32)?,
-            AccessKind::Read,
-            self.now,
-        );
-        self.roll_ls_poison()?;
+        self.local_access(addr, out.len() as u32, AccessKind::Read)?;
         Ok(self.ls.read_into(addr, out)?)
     }
 
@@ -679,12 +631,7 @@ impl<'m> AccelCtx<'m> {
     ///
     /// Fails on bounds or space violations.
     pub fn local_write_bytes(&mut self, addr: Addr, data: &[u8]) -> Result<(), SimError> {
-        self.now += self.ls_cycles(data.len() as u32);
-        self.dma.note_local_access(
-            AddrRange::new(addr, data.len() as u32)?,
-            AccessKind::Write,
-            self.now,
-        );
+        self.local_access(addr, data.len() as u32, AccessKind::Write)?;
         Ok(self.ls.write_bytes(addr, data)?)
     }
 
@@ -711,90 +658,57 @@ impl<'m> AccelCtx<'m> {
         Ok(self.ls.write_bytes(addr, data)?)
     }
 
-    // ---- explicit DMA ---------------------------------------------------
+    // ---- remote-transfer core and explicit DMA --------------------------
 
-    /// The full `dma_get` path, including the fault plane's per-transfer
-    /// corrupt/drop roll. The engine's charging and bookkeeping run
-    /// unconditionally — a faulted transfer still costs its cycles.
-    fn engine_get(
+    /// The remote-transfer core. Every DMA command this accelerator
+    /// issues — explicit [`AccelCtx::dma_get`]/[`AccelCtx::dma_put`],
+    /// each staging chunk of an outer access, each gather descriptor —
+    /// runs these steps exactly once, in this order:
+    ///
+    /// 1. **Mode check** (puts): a put the declared access modes do not
+    ///    license fails before any byte moves ([`AccelCtx::check_mode`];
+    ///    a gather checks its whole batch as reads up front).
+    /// 2. **Journal** (puts, noisy fault plan): the destination's
+    ///    main-memory pre-image is recorded for
+    ///    [`AccelCtx::put_journal_rollback`].
+    /// 3. **Fault roll**: the plan's per-transfer corrupt/drop draw.
+    /// 4. **Issue**: the engine validates, copies, race-scans and
+    ///    charges the command.
+    /// 5. **Counters and trace**: [`MachineStats`] always, an
+    ///    [`EventKind::DmaIssue`] when the event log is on.
+    /// 6. **Damage**: a dropped transfer gets its destination's old
+    ///    bytes back, a corrupted one is scribbled; either is noted and
+    ///    returned as a [`FaultError`]. A faulted command still costs
+    ///    its cycles.
+    /// 7. **Retire** (`sync` only): a clean command is waited on, via
+    ///    [`AccelCtx::dma_wait`] on its tag, before the caller resumes.
+    ///
+    /// A `sync` transfer fuses steps 4 and 7 into one engine step when
+    /// nothing could observe the difference: no fault plan (no rolls,
+    /// journals or timeouts), no event log (the split path records
+    /// `DmaIssue`/`DmaWait` events) and an idle tag queue (the fused
+    /// retire assumes the wait retires exactly this command). Both
+    /// paths are bit-identical in every simulated observable.
+    #[inline]
+    fn transfer(
         &mut self,
+        direction: DmaDirection,
         local: Addr,
         remote: Addr,
         size: u32,
         tag: Tag,
+        sync: bool,
     ) -> Result<(), SimError> {
-        let issued_at = self.now;
-        let decision = self.roll_transfer();
-        // The engine copies eagerly; a dropped transfer must leave the
-        // destination untouched, so snapshot it first (fault path only).
-        let saved = if decision == Some(DmaFault::Drop) {
-            let mut bytes = vec![0u8; size as usize];
-            self.ls.read_into(local, &mut bytes)?;
-            Some(bytes)
+        let put = direction == DmaDirection::Put;
+        let mode = if put {
+            self.check_mode(direction, remote, size)?
         } else {
             None
         };
-        self.now = self
-            .dma
-            .get(self.now, local, remote, size, tag, self.main, self.ls)?;
-        self.trace_dma(issued_at, size, tag, DmaDirection::Get);
-        match decision {
-            None => Ok(()),
-            Some(DmaFault::Drop) => {
-                if let Some(bytes) = saved {
-                    self.ls.write_bytes(local, &bytes)?;
-                }
-                self.note_fault(
-                    self.now,
-                    FaultKind::DmaDrop {
-                        tag: tag.raw(),
-                        bytes: size,
-                    },
-                );
-                Err(FaultError::DmaDropped {
-                    accel: self.accel_index,
-                    tag: tag.raw(),
-                    bytes: size,
-                }
-                .into())
-            }
-            Some(DmaFault::Corrupt) => {
-                Self::scribble(self.ls, local, size)?;
-                self.note_fault(
-                    self.now,
-                    FaultKind::DmaCorrupt {
-                        tag: tag.raw(),
-                        bytes: size,
-                    },
-                );
-                Err(FaultError::DmaCorrupted {
-                    accel: self.accel_index,
-                    tag: tag.raw(),
-                    bytes: size,
-                }
-                .into())
-            }
-        }
-    }
-
-    /// The full `dma_put` path; see [`AccelCtx::engine_get`].
-    fn engine_put(
-        &mut self,
-        local: Addr,
-        remote: Addr,
-        size: u32,
-        tag: Tag,
-    ) -> Result<(), SimError> {
-        let mode = self.put_mode(remote, size)?;
-        let issued_at = self.now;
-        let decision = self.roll_transfer();
-        // With a plan that can actually fire, journal the destination's
-        // pre-image so the recovery layer can void a failed attempt's
-        // puts (see AccelCtx::put_journal_rollback). A quiet plan can
-        // never need a rollback, so it pays nothing here; a declared
-        // `Write` range is fully rewritten by any retry, so its
-        // snapshot is skipped too.
-        if self.faults.noisy() {
+        // A quiet plan can never need a rollback, so it journals
+        // nothing; a declared `Write` range is fully rewritten by any
+        // retry, so its snapshot is skipped too.
+        if put && self.faults.noisy() {
             if mode == Some(AccessMode::Write) {
                 self.stats.journal_snapshots_skipped += 1;
                 self.stats.journal_bytes_skipped += u64::from(size);
@@ -806,54 +720,65 @@ impl<'m> AccelCtx<'m> {
                 self.stats.journal_bytes += u64::from(size);
             }
         }
-        let saved = if decision == Some(DmaFault::Drop) {
-            let mut bytes = vec![0u8; size as usize];
-            self.main.read_into(remote, &mut bytes)?;
-            Some(bytes)
+        let fault = if self.faults.active() {
+            self.faults.roll_dma()
         } else {
             None
         };
-        self.now = self
-            .dma
-            .put(self.now, local, remote, size, tag, self.main, self.ls)?;
-        self.trace_dma(issued_at, size, tag, DmaDirection::Put);
-        match decision {
-            None => Ok(()),
-            Some(DmaFault::Drop) => {
-                if let Some(bytes) = saved {
-                    self.main.write_bytes(remote, &bytes)?;
-                }
-                self.note_fault(
-                    self.now,
-                    FaultKind::DmaDrop {
-                        tag: tag.raw(),
-                        bytes: size,
-                    },
-                );
-                Err(FaultError::DmaDropped {
-                    accel: self.accel_index,
-                    tag: tag.raw(),
-                    bytes: size,
-                }
-                .into())
-            }
-            Some(DmaFault::Corrupt) => {
-                Self::scribble(self.main, remote, size)?;
-                self.note_fault(
-                    self.now,
-                    FaultKind::DmaCorrupt {
-                        tag: tag.raw(),
-                        bytes: size,
-                    },
-                );
-                Err(FaultError::DmaCorrupted {
-                    accel: self.accel_index,
-                    tag: tag.raw(),
-                    bytes: size,
-                }
-                .into())
-            }
+        // The engine copies eagerly; a dropped transfer must leave its
+        // destination untouched, so snapshot it first.
+        let (dest, dest_addr) = if put {
+            (&mut *self.main, remote)
+        } else {
+            (&mut *self.ls, local)
+        };
+        let mut saved = Vec::new();
+        if fault == Some(DmaFault::Drop) {
+            saved.resize(size as usize, 0);
+            dest.read_into(dest_addr, &mut saved)?;
         }
+        let issued_at = self.now;
+        let fused =
+            sync && !self.faults.active() && !self.events.is_enabled() && !self.dma.tag_busy(tag);
+        self.now = if fused {
+            let request = DmaRequest {
+                local,
+                remote,
+                size,
+                tag,
+                direction,
+            };
+            self.dma.sync(self.now, request, self.main, self.ls)?
+        } else if put {
+            self.dma
+                .put(self.now, local, remote, size, tag, self.main, self.ls)?
+        } else {
+            self.dma
+                .get(self.now, local, remote, size, tag, self.main, self.ls)?
+        };
+        self.trace_dma(issued_at, size, tag, direction);
+        if let Some(fault) = fault {
+            let dest = if put { &mut *self.main } else { &mut *self.ls };
+            let (accel, tag, bytes) = (self.accel_index, tag.raw(), size);
+            let (kind, error) = match fault {
+                DmaFault::Drop => {
+                    dest.write_bytes(dest_addr, &saved)?;
+                    let error = FaultError::DmaDropped { accel, tag, bytes };
+                    (FaultKind::DmaDrop { tag, bytes }, error)
+                }
+                DmaFault::Corrupt => {
+                    Self::scribble(dest, dest_addr, size)?;
+                    let error = FaultError::DmaCorrupted { accel, tag, bytes };
+                    (FaultKind::DmaCorrupt { tag, bytes }, error)
+                }
+            };
+            note_fault(self.stats, self.events, accel, self.now, kind);
+            return Err(error.into());
+        }
+        if sync && !fused {
+            self.dma_wait(tag.mask());
+        }
+        Ok(())
     }
 
     /// Rolls the tag-timeout decision after a wait that actually had
@@ -868,7 +793,10 @@ impl<'m> AccelCtx<'m> {
             None => return,
         };
         if self.faults.roll(plan.tag_timeout) {
-            self.note_fault(
+            note_fault(
+                self.stats,
+                self.events,
+                self.accel_index,
                 self.now,
                 FaultKind::TagTimeout {
                     stall: plan.timeout_stall,
@@ -898,7 +826,7 @@ impl<'m> AccelCtx<'m> {
         tag: Tag,
     ) -> Result<(), SimError> {
         self.check_faults()?;
-        self.engine_get(local, remote, size, tag)
+        self.transfer(DmaDirection::Get, local, remote, size, tag, false)
     }
 
     /// Issues a non-blocking `dma_put` of `size` bytes from the local
@@ -917,7 +845,7 @@ impl<'m> AccelCtx<'m> {
         tag: Tag,
     ) -> Result<(), SimError> {
         self.check_faults()?;
-        self.engine_put(local, remote, size, tag)
+        self.transfer(DmaDirection::Put, local, remote, size, tag, false)
     }
 
     /// Blocks until every command in `mask` has completed.
@@ -945,15 +873,7 @@ impl<'m> AccelCtx<'m> {
 
     /// Blocks until the DMA engine is idle.
     pub fn dma_wait_all(&mut self) {
-        let issued_at = self.now;
-        let pending = if self.faults.active() {
-            self.dma.pending_on(TagMask::ALL)
-        } else {
-            0
-        };
-        self.now = self.dma.wait_all(self.now);
-        self.trace_wait(issued_at, TagMask::ALL);
-        self.after_wait_roll(pending, TagMask::ALL);
+        self.dma_wait(TagMask::ALL);
     }
 
     // ---- gather ----------------------------------------------------------
@@ -996,7 +916,7 @@ impl<'m> AccelCtx<'m> {
         // charged: the whole batch is licensed or none of it is.
         for d in &descs {
             let remote = plan.base().offset_by(d.remote_offset)?;
-            self.read_mode(remote, d.bytes)?;
+            self.check_mode(DmaDirection::Get, remote, d.bytes)?;
         }
         let mark = self.ls.save_alloc();
         let local = self.alloc_local(plan.total_bytes(), memspace::DMA_ALIGN)?;
@@ -1016,7 +936,7 @@ impl<'m> AccelCtx<'m> {
                     break;
                 }
             };
-            if let Err(err) = self.engine_get(dst, remote, d.bytes, tag) {
+            if let Err(err) = self.transfer(DmaDirection::Get, dst, remote, d.bytes, tag, false) {
                 failed = Some(err);
                 break;
             }
@@ -1072,70 +992,14 @@ impl<'m> AccelCtx<'m> {
 
     // ---- naive outer access ----------------------------------------------
 
-    fn outer_tag(&self) -> Tag {
-        Tag::new(OUTER_ACCESS_TAG).expect("constant tag is valid")
-    }
-
-    /// Whether the fused synchronous staging round trip may run: no
-    /// fault plan (no transfer rolls, journals, or timeout rolls), no
-    /// event log (the split path would record `DmaIssue`/`DmaWait`
-    /// events), and the tag's queue idle (the fused issue+retire
-    /// assumes the wait retires exactly the command it issued). Outside
-    /// those conditions the split `engine_get`/`engine_put` +
-    /// `dma_wait` path runs instead; both are bit-identical in every
-    /// simulated observable.
+    /// One synchronous staging round trip of `size` bytes between the
+    /// staging buffer and `remote` on [`OUTER_ACCESS_TAG`], then
+    /// surfaces any fault its wait left.
     #[inline]
-    fn outer_sync_ok(&self, tag: Tag) -> bool {
-        !self.faults.active() && !self.events.is_enabled() && !self.dma.tag_busy(tag)
-    }
-
-    /// One synchronous staging `get` (`engine_get` + `dma_wait` on the
-    /// tag's mask), taking the fused engine path when eligible.
-    #[inline]
-    fn staged_get(&mut self, remote: Addr, size: u32, tag: Tag) -> Result<(), SimError> {
-        if self.outer_sync_ok(tag) {
-            self.now = self.dma.sync_get(
-                self.now,
-                self.staging,
-                remote,
-                size,
-                tag,
-                self.main,
-                self.ls,
-            )?;
-            // trace_dma with the event log off: stats only.
-            self.stats.dma_gets += 1;
-            self.stats.dma_bytes_to_local += u64::from(size);
-        } else {
-            self.engine_get(self.staging, remote, size, tag)?;
-            self.dma_wait(tag.mask());
-        }
-        Ok(())
-    }
-
-    /// One synchronous staging `put`; see [`AccelCtx::staged_get`].
-    #[inline]
-    fn staged_put(&mut self, remote: Addr, size: u32, tag: Tag) -> Result<(), SimError> {
-        if self.outer_sync_ok(tag) {
-            // The fused path bypasses `engine_put`, so it enforces the
-            // access-mode contract itself.
-            self.put_mode(remote, size)?;
-            self.now = self.dma.sync_put(
-                self.now,
-                self.staging,
-                remote,
-                size,
-                tag,
-                self.main,
-                self.ls,
-            )?;
-            self.stats.dma_puts += 1;
-            self.stats.dma_bytes_from_local += u64::from(size);
-        } else {
-            self.engine_put(self.staging, remote, size, tag)?;
-            self.dma_wait(tag.mask());
-        }
-        Ok(())
+    fn staged(&mut self, direction: DmaDirection, remote: Addr, size: u32) -> Result<(), SimError> {
+        let tag = Tag::new(OUTER_ACCESS_TAG).expect("constant tag is valid");
+        self.transfer(direction, self.staging, remote, size, tag, true)?;
+        self.check_faults()
     }
 
     /// Reads a `T` from main memory *synchronously*: one full DMA round
@@ -1155,10 +1019,8 @@ impl<'m> AccelCtx<'m> {
             });
         }
         self.accesses.record_read(self.span, addr.offset(), size);
-        let tag = self.outer_tag();
         self.check_faults()?;
-        self.staged_get(addr, size, tag)?;
-        self.check_faults()?;
+        self.staged(DmaDirection::Get, addr, size)?;
         self.now += self.ls_cycles(size);
         Ok(self.ls.read_pod(self.staging)?)
     }
@@ -1182,10 +1044,7 @@ impl<'m> AccelCtx<'m> {
         self.check_faults()?;
         self.now += self.ls_cycles(size);
         self.ls.write_pod(self.staging, value)?;
-        let tag = self.outer_tag();
-        self.staged_put(addr, size, tag)?;
-        self.check_faults()?;
-        Ok(())
+        self.staged(DmaDirection::Put, addr, size)
     }
 
     /// Reads raw bytes from main memory synchronously, chunked through
@@ -1198,14 +1057,12 @@ impl<'m> AccelCtx<'m> {
     pub fn outer_read_bytes(&mut self, addr: Addr, out: &mut [u8]) -> Result<(), SimError> {
         self.accesses
             .record_read(self.span, addr.offset(), out.len() as u32);
-        let tag = self.outer_tag();
         self.check_faults()?;
         // Single-chunk accesses (every scalar VM load) skip the chunk
         // loop; the sequence below is the loop body with `done == 0`.
         if !out.is_empty() && out.len() <= self.staging_size as usize {
             let size = out.len() as u32;
-            self.staged_get(addr, size, tag)?;
-            self.check_faults()?;
+            self.staged(DmaDirection::Get, addr, size)?;
             self.now += self.ls_cycles(size);
             self.ls.read_into(self.staging, out)?;
             return Ok(());
@@ -1214,8 +1071,7 @@ impl<'m> AccelCtx<'m> {
         while done < out.len() {
             let chunk = (out.len() - done).min(self.staging_size as usize);
             let remote = addr.offset_by(done as u32)?;
-            self.staged_get(remote, chunk as u32, tag)?;
-            self.check_faults()?;
+            self.staged(DmaDirection::Get, remote, chunk as u32)?;
             self.now += self.ls_cycles(chunk as u32);
             self.ls
                 .read_into(self.staging, &mut out[done..done + chunk])?;
@@ -1234,16 +1090,13 @@ impl<'m> AccelCtx<'m> {
     pub fn outer_write_bytes(&mut self, addr: Addr, data: &[u8]) -> Result<(), SimError> {
         self.accesses
             .record_write(self.span, addr.offset(), data.len() as u32);
-        let tag = self.outer_tag();
         self.check_faults()?;
         // Single-chunk fast path; see `outer_read_bytes`.
         if !data.is_empty() && data.len() <= self.staging_size as usize {
             let size = data.len() as u32;
             self.now += self.ls_cycles(size);
             self.ls.write_bytes(self.staging, data)?;
-            self.staged_put(addr, size, tag)?;
-            self.check_faults()?;
-            return Ok(());
+            return self.staged(DmaDirection::Put, addr, size);
         }
         let mut done = 0usize;
         while done < data.len() {
@@ -1252,10 +1105,33 @@ impl<'m> AccelCtx<'m> {
             self.now += self.ls_cycles(chunk as u32);
             self.ls
                 .write_bytes(self.staging, &data[done..done + chunk])?;
-            self.staged_put(remote, chunk as u32, tag)?;
-            self.check_faults()?;
+            self.staged(DmaDirection::Put, remote, chunk as u32)?;
             done += chunk;
         }
+        Ok(())
+    }
+
+    // ---- cached outer access ----------------------------------------------
+
+    /// Runs one software-cache operation on this accelerator's clock:
+    /// hands the cache its local store, main memory and DMA engine,
+    /// then folds the cache's counter delta into [`MachineStats`] and
+    /// cache events.
+    #[inline]
+    fn cache_op<C: SoftwareCache>(
+        &mut self,
+        cache: &mut C,
+        op: impl FnOnce(&mut C, u64, &mut CacheBacking<'_>) -> Result<u64, CacheError>,
+    ) -> Result<(), SimError> {
+        let before = cache.stats();
+        let at = self.now;
+        let mut backing = CacheBacking {
+            main: self.main,
+            ls: self.ls,
+            dma: self.dma,
+        };
+        self.now = op(cache, self.now, &mut backing)?;
+        self.trace_cache_delta(at, before, cache.stats());
         Ok(())
     }
 
@@ -1272,16 +1148,7 @@ impl<'m> AccelCtx<'m> {
     ) -> Result<(), SimError> {
         self.accesses
             .record_read(self.span, addr.offset(), out.len() as u32);
-        let before = cache.stats();
-        let at = self.now;
-        let mut backing = CacheBacking {
-            main: self.main,
-            ls: self.ls,
-            dma: self.dma,
-        };
-        self.now = cache.read(self.now, addr, out, &mut backing)?;
-        self.trace_cache_delta(at, before, cache.stats());
-        Ok(())
+        self.cache_op(cache, |c, now, backing| c.read(now, addr, out, backing))
     }
 
     /// Writes raw bytes to main memory through a software cache.
@@ -1298,22 +1165,11 @@ impl<'m> AccelCtx<'m> {
         addr: Addr,
         data: &[u8],
     ) -> Result<(), SimError> {
-        self.put_mode(addr, data.len() as u32)?;
+        self.check_mode(DmaDirection::Put, addr, data.len() as u32)?;
         self.accesses
             .record_write(self.span, addr.offset(), data.len() as u32);
-        let before = cache.stats();
-        let at = self.now;
-        let mut backing = CacheBacking {
-            main: self.main,
-            ls: self.ls,
-            dma: self.dma,
-        };
-        self.now = cache.write(self.now, addr, data, &mut backing)?;
-        self.trace_cache_delta(at, before, cache.stats());
-        Ok(())
+        self.cache_op(cache, |c, now, backing| c.write(now, addr, data, backing))
     }
-
-    // ---- cached outer access ----------------------------------------------
 
     /// Reads a `T` from main memory through a software cache.
     ///
@@ -1325,29 +1181,10 @@ impl<'m> AccelCtx<'m> {
         cache: &mut C,
         addr: Addr,
     ) -> Result<T, SimError> {
-        self.accesses
-            .record_read(self.span, addr.offset(), T::SIZE as u32);
-        // Stack buffer for the common small-Pod case; per-element cached
-        // reads are the hottest path in cached offload loops.
-        let mut small = [0u8; POD_STACK_BUF];
-        let mut large;
-        let buf = if T::SIZE <= POD_STACK_BUF {
-            &mut small[..T::SIZE]
-        } else {
-            large = vec![0u8; T::SIZE];
-            &mut large[..]
-        };
-        let before = cache.stats();
-        let at = self.now;
-        let mut backing = CacheBacking {
-            main: self.main,
-            ls: self.ls,
-            dma: self.dma,
-        };
-        self.now = cache.read(self.now, addr, buf, &mut backing)?;
-        let value = T::read_from(buf);
-        self.trace_cache_delta(at, before, cache.stats());
-        Ok(value)
+        with_pod_buf::<T, _>(|buf| {
+            self.cached_read_bytes(cache, addr, buf)?;
+            Ok(T::read_from(buf))
+        })
     }
 
     /// Writes a `T` to main memory through a software cache.
@@ -1363,28 +1200,10 @@ impl<'m> AccelCtx<'m> {
         addr: Addr,
         value: &T,
     ) -> Result<(), SimError> {
-        self.put_mode(addr, T::SIZE as u32)?;
-        self.accesses
-            .record_write(self.span, addr.offset(), T::SIZE as u32);
-        let mut small = [0u8; POD_STACK_BUF];
-        let mut large;
-        let buf = if T::SIZE <= POD_STACK_BUF {
-            &mut small[..T::SIZE]
-        } else {
-            large = vec![0u8; T::SIZE];
-            &mut large[..]
-        };
-        value.write_to(buf);
-        let before = cache.stats();
-        let at = self.now;
-        let mut backing = CacheBacking {
-            main: self.main,
-            ls: self.ls,
-            dma: self.dma,
-        };
-        self.now = cache.write(self.now, addr, buf, &mut backing)?;
-        self.trace_cache_delta(at, before, cache.stats());
-        Ok(())
+        with_pod_buf::<T, _>(|buf| {
+            value.write_to(buf);
+            self.cached_write_bytes(cache, addr, buf)
+        })
     }
 
     /// Builds a set-associative software cache whose line arena lives in
@@ -1515,15 +1334,19 @@ impl<'m> AccelCtx<'m> {
     ///
     /// As for [`softcache::SoftwareCache::flush`].
     pub fn cache_flush<C: SoftwareCache>(&mut self, cache: &mut C) -> Result<(), SimError> {
-        let before = cache.stats();
-        let at = self.now;
-        let mut backing = CacheBacking {
-            main: self.main,
-            ls: self.ls,
-            dma: self.dma,
-        };
-        self.now = cache.flush(self.now, &mut backing)?;
-        self.trace_cache_delta(at, before, cache.stats());
-        Ok(())
+        self.cache_op(cache, |c, now, backing| c.flush(now, backing))
+    }
+}
+
+/// Runs `f` on a zeroed buffer of exactly `T::SIZE` bytes: on the stack
+/// for every Pod up to [`POD_STACK_BUF`] bytes (per-element cached
+/// accesses are the hottest path in cached offload loops), on the heap
+/// only for larger ones.
+#[inline]
+fn with_pod_buf<T: Pod, R>(f: impl FnOnce(&mut [u8]) -> R) -> R {
+    if T::SIZE <= POD_STACK_BUF {
+        f(&mut [0u8; POD_STACK_BUF][..T::SIZE])
+    } else {
+        f(&mut vec![0u8; T::SIZE])
     }
 }

@@ -8,7 +8,7 @@ use crate::cost::CostModel;
 use crate::ctx::AccelCtx;
 use crate::error::SimError;
 use crate::event::{CoreId, EventKind, EventLog};
-use crate::fault::{FaultError, FaultKind, FaultPlan, FaultPlane, RecoveryKind};
+use crate::fault::{note_fault, FaultError, FaultKind, FaultPlan, FaultPlane, RecoveryKind};
 use crate::gather::GatherPlan;
 use crate::trace::MachineStats;
 
@@ -844,37 +844,33 @@ impl Machine {
             let plan = *self.faults.plan().expect("active plane has a plan");
             if self.faults.roll(plan.accel_death) {
                 self.faults.mark_dead(accel);
-                self.stats.faults_injected += 1;
-                self.stats.fault_deaths += 1;
+                note_fault(
+                    &mut self.stats,
+                    &mut self.events,
+                    accel,
+                    self.host_now,
+                    FaultKind::AccelDeath,
+                );
                 // In-flight transfers die with the core.
                 self.accels[usize::from(accel)].dma.purge();
-                self.events.record(
-                    self.host_now,
-                    EventKind::FaultInjected {
-                        accel,
-                        fault: FaultKind::AccelDeath,
-                    },
-                );
                 return Err(FaultError::AccelDead { accel }.into());
             }
         }
         self.stats.offloads += 1;
         let span = (self.stats.offloads - 1) as u32;
-        let slot = &mut self.accels[usize::from(accel)];
-        let mut start = self.host_now.max(slot.busy_until);
+        let mut start = self
+            .host_now
+            .max(self.accels[usize::from(accel)].busy_until);
         if self.faults.active() {
             let plan = *self.faults.plan().expect("active plane has a plan");
             if self.faults.roll(plan.accel_stall) {
-                self.stats.faults_injected += 1;
-                self.stats.fault_stalls += 1;
-                self.stats.fault_stall_cycles += plan.stall_cycles;
-                self.events.record(
+                note_fault(
+                    &mut self.stats,
+                    &mut self.events,
+                    accel,
                     start,
-                    EventKind::FaultInjected {
-                        accel,
-                        fault: FaultKind::AccelStall {
-                            cycles: plan.stall_cycles,
-                        },
+                    FaultKind::AccelStall {
+                        cycles: plan.stall_cycles,
                     },
                 );
                 start += plan.stall_cycles;
@@ -882,27 +878,8 @@ impl Machine {
         }
         self.events
             .record(start, EventKind::OffloadStart { accel, name });
-        let mark = slot.ls.save_alloc();
-        let mut ctx = AccelCtx {
-            now: start,
-            cost: self.config.cost,
-            accel_index: accel,
-            main: &mut self.main,
-            ls: &mut slot.ls,
-            dma: &mut slot.dma,
-            staging: slot.staging,
-            staging_size: self.config.staging_size,
-            events: &mut self.events,
-            stats: &mut self.stats,
-            accesses: &mut self.accesses,
-            span,
-            tuned: None,
-            faults: &mut self.faults,
-            fault_sticky: None,
-            put_journal: Vec::new(),
-            modes,
-            gathered: Vec::new(),
-        };
+        let mark = self.accels[usize::from(accel)].ls.save_alloc();
+        let mut ctx = self.accel_ctx(accel, start, span, modes);
         // Building the cache is allocation only (zero cycles); the
         // closure, and the final dirty-line flush, run on the
         // accelerator clock. Builder-declared gather plans execute
@@ -925,6 +902,7 @@ impl Machine {
                 }
             },
         };
+        let slot = &mut self.accels[usize::from(accel)];
         let (result, end) = match outcome {
             Ok(v) => v,
             Err(e) => {
@@ -952,6 +930,34 @@ impl Machine {
             start,
             end,
         })
+    }
+
+    /// The execution context of accelerator `accel` starting at cycle
+    /// `now` — the one constructor behind every offload launch and host
+    /// fallback. `span` attributes its outer accesses in the autotuner's
+    /// access trace; `modes` are the access modes it is held to.
+    fn accel_ctx(&mut self, accel: u16, now: u64, span: u32, modes: ModeSet) -> AccelCtx<'_> {
+        let slot = &mut self.accels[usize::from(accel)];
+        AccelCtx {
+            now,
+            cost: self.config.cost,
+            accel_index: accel,
+            main: &mut self.main,
+            ls: &mut slot.ls,
+            dma: &mut slot.dma,
+            staging: slot.staging,
+            staging_size: self.config.staging_size,
+            events: &mut self.events,
+            stats: &mut self.stats,
+            accesses: &mut self.accesses,
+            span,
+            tuned: None,
+            faults: &mut self.faults,
+            fault_sticky: None,
+            put_journal: Vec::new(),
+            modes,
+            gathered: Vec::new(),
+        }
     }
 
     /// Joins an offload thread: the host blocks until the accelerator
@@ -1006,33 +1012,13 @@ impl Machine {
             },
         );
         self.faults.push_suppress();
-        let slot = &mut self.accels[usize::from(accel)];
-        let mark = slot.ls.save_alloc();
-        let mut ctx = AccelCtx {
-            now: start,
-            cost: self.config.cost,
-            accel_index: accel,
-            main: &mut self.main,
-            ls: &mut slot.ls,
-            dma: &mut slot.dma,
-            staging: slot.staging,
-            staging_size: self.config.staging_size,
-            events: &mut self.events,
-            stats: &mut self.stats,
-            accesses: &mut self.accesses,
-            // Fallbacks are not offload spans; keep them out of the
-            // autotuner's per-span attribution.
-            span: u32::MAX,
-            tuned: None,
-            faults: &mut self.faults,
-            fault_sticky: None,
-            put_journal: Vec::new(),
-            modes,
-            gathered: Vec::new(),
-        };
+        let mark = self.accels[usize::from(accel)].ls.save_alloc();
+        // Fallbacks are not offload spans; keep them out of the
+        // autotuner's per-span attribution.
+        let mut ctx = self.accel_ctx(accel, start, u32::MAX, modes);
         let result = f(&mut ctx);
         let elapsed = ctx.now - start;
-        slot.ls.restore_alloc(mark);
+        self.accels[usize::from(accel)].ls.restore_alloc(mark);
         self.faults.pop_suppress();
         let penalty = elapsed.saturating_mul(self.config.cost.host_fallback_factor);
         self.host_now = start + penalty;
