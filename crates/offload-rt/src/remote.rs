@@ -4,7 +4,7 @@
 //! local store: the dense [`ArrayAccessor`](crate::ArrayAccessor)
 //! (paper §4.2's bulk transfer) and the irregular
 //! [`GatherView`] (a packed buffer filled by a coalesced
-//! [`GatherPlan`](simcell::GatherPlan) batch). Both end the same way —
+//! [`GatherPlan`] batch). Both end the same way —
 //! a local base address and an element count — so both expose element
 //! access through the one [`RemoteSlice`] trait: kernels index either
 //! shape with the same `get`/`to_vec` calls, and generic helpers take
@@ -71,7 +71,7 @@ pub trait RemoteSlice<T: Pod> {
 }
 
 /// A read-only local view over gathered elements: the packed buffer a
-/// [`GatherPlan`](simcell::GatherPlan) batch fetched, exposed as a
+/// [`GatherPlan`] batch fetched, exposed as a
 /// dense array in index-list order.
 ///
 /// Where [`ArrayAccessor`](crate::ArrayAccessor) mirrors a contiguous

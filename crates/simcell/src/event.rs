@@ -547,10 +547,11 @@ impl EventLog {
         self.events.capacity()
     }
 
-    /// The events sorted stably by cycle (emission order breaks ties, so
-    /// causally ordered same-cycle events keep their order).
-    pub fn sorted(&self) -> Vec<Event> {
-        let mut sorted = self.events.clone();
+    /// The events, borrowed from the log and sorted stably by cycle
+    /// (emission order breaks ties, so causally ordered same-cycle
+    /// events keep their order).
+    pub fn sorted(&self) -> Vec<&Event> {
+        let mut sorted: Vec<&Event> = self.events.iter().collect();
         sorted.sort_by_key(|e| e.at);
         sorted
     }

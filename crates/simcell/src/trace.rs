@@ -45,7 +45,8 @@
 //! # }
 //! ```
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 use dma::DmaDirection;
 
@@ -277,24 +278,106 @@ fn tid_of(core: CoreId) -> u64 {
     }
 }
 
+/// The lane an event draws on besides its core's execution lane, as
+/// (thread-name label, tid base, accelerator); `None` when it draws
+/// only on its core's lane.
+fn side_lane(kind: &EventKind) -> Option<(&'static str, u64, u16)> {
+    Some(match *kind {
+        EventKind::DmaIssue { accel, .. } => ("dma", DMA_LANE_BASE, accel),
+        EventKind::SchedEnqueue { accel, .. }
+        | EventKind::SchedRun { accel, .. }
+        | EventKind::SchedIdle { accel, .. }
+        | EventKind::SchedSteal { thief: accel, .. } => ("sched", SCHED_LANE_BASE, accel),
+        EventKind::FaultInjected { accel, .. } | EventKind::RecoveryApplied { accel, .. } => {
+            ("faults", FAULT_LANE_BASE, accel)
+        }
+        EventKind::PipeRun { accel, .. } | EventKind::PipeWait { accel, .. } => {
+            ("pipe", PIPE_LANE_BASE, accel)
+        }
+        EventKind::Gather { accel, .. } => ("gather", GATHER_LANE_BASE, accel),
+        _ => return None,
+    })
+}
+
+/// Appends `s` as a JSON string literal. Text with nothing to escape,
+/// which is nearly all of it, is pushed in one piece.
 fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
     }
     out.push('"');
 }
 
+/// Appends `n` in decimal. Every event has a `ts` and a `tid`, so these
+/// skip the `fmt` machinery.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
+/// The args only some events of a kind carry, written after the ones
+/// every event of that kind has: a stolen tile's victim, and a fault's
+/// or a recovery's payload.
+struct VariantArgs<'a>(&'a EventKind);
+
+impl fmt::Display for VariantArgs<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use crate::fault::{FaultKind, RecoveryKind};
+        match self.0 {
+            EventKind::SchedRun {
+                stolen_from: Some(victim),
+                ..
+            } => write!(f, ",\"stolen_from\":{victim}"),
+            EventKind::FaultInjected { fault, .. } => match fault {
+                FaultKind::DmaCorrupt { tag, bytes } | FaultKind::DmaDrop { tag, bytes } => {
+                    write!(f, ",\"tag\":{tag},\"bytes\":{bytes}")
+                }
+                FaultKind::TagTimeout { stall } => write!(f, ",\"stall\":{stall}"),
+                FaultKind::AccelStall { cycles } => write!(f, ",\"cycles\":{cycles}"),
+                FaultKind::AccelDeath | FaultKind::LsPoison => Ok(()),
+            },
+            EventKind::RecoveryApplied { recovery, .. } => match recovery {
+                RecoveryKind::Retry {
+                    tile,
+                    attempt,
+                    backoff,
+                } => write!(
+                    f,
+                    ",\"tile\":{tile},\"attempt\":{attempt},\"backoff\":{backoff}"
+                ),
+                RecoveryKind::Evict { tiles_moved } => write!(f, ",\"tiles_moved\":{tiles_moved}"),
+                RecoveryKind::HostFallback { tile } => write!(f, ",\"tile\":{tile}"),
+            },
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Writes trace records straight into one output buffer.
 struct ChromeWriter {
     out: String,
     first: bool,
@@ -308,46 +391,59 @@ impl ChromeWriter {
         }
     }
 
-    /// Emits one trace event. `dur` is `Some` for complete ("X") events;
-    /// `args` is a preformatted JSON object body (without braces).
-    fn event(&mut self, name: &str, ph: char, ts: u64, dur: Option<u64>, tid: u64, args: &str) {
+    /// Starts the next record, up to and including its name.
+    fn open(&mut self, name: &str) {
         if !self.first {
             self.out.push_str(",\n");
         }
         self.first = false;
         self.out.push_str("{\"name\":");
         push_json_string(&mut self.out, name);
-        self.out.push_str(&format!(
-            ",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":0,\"tid\":{tid}"
-        ));
-        if let Some(dur) = dur {
-            self.out.push_str(&format!(",\"dur\":{dur}"));
+    }
+
+    /// Emits one trace event. `end` is `Some` for complete ("X") events,
+    /// which get a `dur` of `end - ts`; `args` is the JSON object body
+    /// (without braces), empty for none.
+    fn event(
+        &mut self,
+        name: &str,
+        ph: char,
+        ts: u64,
+        end: Option<u64>,
+        tid: u64,
+        args: fmt::Arguments<'_>,
+    ) {
+        self.open(name);
+        self.out.push_str(",\"ph\":\"");
+        self.out.push(ph);
+        self.out.push_str("\",\"ts\":");
+        push_u64(&mut self.out, ts);
+        self.out.push_str(",\"pid\":0,\"tid\":");
+        push_u64(&mut self.out, tid);
+        if let Some(end) = end {
+            self.out.push_str(",\"dur\":");
+            push_u64(&mut self.out, end.saturating_sub(ts));
         }
         if ph == 'i' {
             // Instant events need a scope; thread scope keeps them on
             // their lane.
             self.out.push_str(",\"s\":\"t\"");
         }
-        if !args.is_empty() {
+        if args.as_str() != Some("") {
             self.out.push_str(",\"args\":{");
-            self.out.push_str(args);
+            let _ = self.out.write_fmt(args);
             self.out.push('}');
         }
         self.out.push('}');
     }
 
-    fn metadata(&mut self, name: &str, tid: u64, value: &str) {
-        if !self.first {
-            self.out.push_str(",\n");
-        }
-        self.first = false;
-        self.out.push_str("{\"name\":");
-        push_json_string(&mut self.out, name);
-        self.out.push_str(&format!(
-            ",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"args\":{{\"name\":"
-        ));
-        push_json_string(&mut self.out, value);
-        self.out.push_str("}}");
+    /// Emits a metadata record; `value` is written unescaped.
+    fn metadata(&mut self, name: &str, tid: u64, value: fmt::Arguments<'_>) {
+        self.open(name);
+        let _ = write!(
+            self.out,
+            ",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"args\":{{\"name\":\"{value}\"}}}}"
+        );
     }
 
     fn finish(mut self) -> String {
@@ -378,78 +474,37 @@ impl ChromeWriter {
 /// spanning issue→drain, with elems/descriptors/bytes as args.
 pub fn chrome_trace_json(log: &EventLog) -> String {
     let mut w = ChromeWriter::new();
-    w.metadata("process_name", 0, "offload-sim");
-    w.metadata("thread_name", 0, "host");
+    w.metadata("process_name", 0, format_args!("offload-sim"));
+    w.metadata("thread_name", 0, format_args!("host"));
 
     let events = log.sorted();
-    // Name each lane that actually appears.
-    let mut seen_accel = [false; 64];
-    let mut seen_dma = [false; 64];
-    let mut seen_sched = [false; 64];
-    let mut seen_fault = [false; 64];
-    let mut seen_pipe = [false; 64];
-    let mut seen_gather = [false; 64];
+    // Name each lane of the first 64 accelerators that actually
+    // appears, in order of first appearance: an event's core lane
+    // first, then its side lane.
+    let mut named = [false; GATHER_LANE_BASE as usize + 64];
     for e in &events {
-        if let CoreId::Accel(a) = e.core() {
-            let a = a as usize;
-            if a < 64 && !seen_accel[a] {
-                seen_accel[a] = true;
-                w.metadata("thread_name", accel_tid(a as u16), &format!("accel {a}"));
-            }
-        }
-        if let EventKind::DmaIssue { accel, .. } = e.kind {
-            let a = accel as usize;
-            if a < 64 && !seen_dma[a] {
-                seen_dma[a] = true;
-                w.metadata("thread_name", dma_tid(accel), &format!("dma {a}"));
-            }
-        }
-        let sched_accel = match e.kind {
-            EventKind::SchedEnqueue { accel, .. }
-            | EventKind::SchedRun { accel, .. }
-            | EventKind::SchedIdle { accel, .. } => Some(accel),
-            EventKind::SchedSteal { thief, .. } => Some(thief),
-            _ => None,
+        let core_lane = match e.core() {
+            CoreId::Accel(a) => Some(("accel", accel_tid(0), a)),
+            CoreId::Host => None,
         };
-        if let Some(accel) = sched_accel {
-            let a = accel as usize;
-            if a < 64 && !seen_sched[a] {
-                seen_sched[a] = true;
-                w.metadata("thread_name", sched_tid(accel), &format!("sched {a}"));
-            }
-        }
-        if let EventKind::FaultInjected { accel, .. } | EventKind::RecoveryApplied { accel, .. } =
-            e.kind
-        {
-            let a = accel as usize;
-            if a < 64 && !seen_fault[a] {
-                seen_fault[a] = true;
-                w.metadata("thread_name", fault_tid(accel), &format!("faults {a}"));
-            }
-        }
-        if let EventKind::PipeRun { accel, .. } | EventKind::PipeWait { accel, .. } = e.kind {
-            let a = accel as usize;
-            if a < 64 && !seen_pipe[a] {
-                seen_pipe[a] = true;
-                w.metadata("thread_name", pipe_tid(accel), &format!("pipe {a}"));
-            }
-        }
-        if let EventKind::Gather { accel, .. } = e.kind {
-            let a = accel as usize;
-            if a < 64 && !seen_gather[a] {
-                seen_gather[a] = true;
-                w.metadata("thread_name", gather_tid(accel), &format!("gather {a}"));
+        for (label, base, a) in core_lane.into_iter().chain(side_lane(&e.kind)) {
+            let tid = base + u64::from(a);
+            if a < 64 && !named[tid as usize] {
+                named[tid as usize] = true;
+                w.metadata("thread_name", tid, format_args!("{label} {a}"));
             }
         }
     }
 
     // Open-interval bookkeeping: offloads pair Start/End per accel.
     let mut open_offload: Vec<(u16, u64, &'static str)> = Vec::new();
+    // Reused for the names formatted from an event's fields.
+    let mut formatted = String::new();
     for e in &events {
+        let at = e.at;
+        let tid = side_lane(&e.kind).map_or(tid_of(e.core()), |(_, base, a)| base + u64::from(a));
         match &e.kind {
-            EventKind::OffloadStart { accel, name } => {
-                open_offload.push((*accel, e.at, name));
-            }
+            EventKind::OffloadStart { accel, name } => open_offload.push((*accel, at, name)),
             EventKind::OffloadEnd { accel } => {
                 if let Some(pos) = open_offload.iter().rposition(|(a, _, _)| a == accel) {
                     let (_, start, name) = open_offload.remove(pos);
@@ -457,30 +512,31 @@ pub fn chrome_trace_json(log: &EventLog) -> String {
                         name,
                         'X',
                         start,
-                        Some(e.at - start),
-                        accel_tid(*accel),
-                        &format!("\"accel\":{accel}"),
+                        Some(at),
+                        tid,
+                        format_args!("\"accel\":{accel}"),
                     );
                 }
             }
-            EventKind::Join { accel } => {
-                w.event("join", 'i', e.at, None, 0, &format!("\"accel\":{accel}"));
+            EventKind::Join { accel } => w.event(
+                "join",
+                'i',
+                at,
+                None,
+                tid,
+                format_args!("\"accel\":{accel}"),
+            ),
+            EventKind::Note { text } => w.event(text, 'i', at, None, tid, format_args!("")),
+            EventKind::SpanStart { name, .. } => {
+                w.event(name, 'B', at, None, tid, format_args!(""))
             }
-            EventKind::Note { text } => {
-                w.event(text, 'i', e.at, None, 0, "");
-            }
-            EventKind::SpanStart { core, name } => {
-                w.event(name, 'B', e.at, None, tid_of(*core), "");
-            }
-            EventKind::SpanEnd { core, name } => {
-                w.event(name, 'E', e.at, None, tid_of(*core), "");
-            }
+            EventKind::SpanEnd { name, .. } => w.event(name, 'E', at, None, tid, format_args!("")),
             EventKind::DmaIssue {
-                accel,
                 tag,
                 bytes,
                 dir,
                 complete_at,
+                ..
             } => {
                 let name = match dir {
                     DmaDirection::Get => "dma_get",
@@ -489,153 +545,127 @@ pub fn chrome_trace_json(log: &EventLog) -> String {
                 w.event(
                     name,
                     'X',
-                    e.at,
-                    Some(complete_at.saturating_sub(e.at)),
-                    dma_tid(*accel),
-                    &format!("\"tag\":{tag},\"bytes\":{bytes}"),
+                    at,
+                    Some(*complete_at),
+                    tid,
+                    format_args!("\"tag\":{tag},\"bytes\":{bytes}"),
                 );
             }
             EventKind::DmaWait {
-                accel,
-                mask,
-                resumed_at,
-            } => {
-                w.event(
-                    "dma_wait",
-                    'X',
-                    e.at,
-                    Some(resumed_at.saturating_sub(e.at)),
-                    accel_tid(*accel),
-                    &format!("\"mask\":{mask}"),
-                );
-            }
+                mask, resumed_at, ..
+            } => w.event(
+                "dma_wait",
+                'X',
+                at,
+                Some(*resumed_at),
+                tid,
+                format_args!("\"mask\":{mask}"),
+            ),
             EventKind::Gather {
-                accel,
                 elems,
                 descriptors,
                 bytes,
                 complete_at,
-            } => {
-                w.event(
-                    "gather",
-                    'X',
-                    e.at,
-                    Some(complete_at.saturating_sub(e.at)),
-                    gather_tid(*accel),
-                    &format!("\"elems\":{elems},\"descriptors\":{descriptors},\"bytes\":{bytes}"),
-                );
-            }
-            EventKind::CacheHit { accel, count } => {
-                w.event(
-                    "cache_hit",
-                    'i',
-                    e.at,
-                    None,
-                    accel_tid(*accel),
-                    &format!("\"count\":{count}"),
-                );
-            }
+                ..
+            } => w.event(
+                "gather",
+                'X',
+                at,
+                Some(*complete_at),
+                tid,
+                format_args!("\"elems\":{elems},\"descriptors\":{descriptors},\"bytes\":{bytes}"),
+            ),
+            EventKind::CacheHit { count, .. } => w.event(
+                "cache_hit",
+                'i',
+                at,
+                None,
+                tid,
+                format_args!("\"count\":{count}"),
+            ),
             EventKind::CacheMiss {
-                accel,
                 count,
                 bytes_fetched,
-            } => {
-                w.event(
-                    "cache_miss",
-                    'i',
-                    e.at,
-                    None,
-                    accel_tid(*accel),
-                    &format!("\"count\":{count},\"bytes_fetched\":{bytes_fetched}"),
-                );
-            }
-            EventKind::CacheEvict { accel, count } => {
-                w.event(
-                    "cache_evict",
-                    'i',
-                    e.at,
-                    None,
-                    accel_tid(*accel),
-                    &format!("\"count\":{count}"),
-                );
-            }
-            EventKind::LsHighWater { accel, bytes } => {
-                w.event(
-                    "ls_high_water",
-                    'C',
-                    e.at,
-                    None,
-                    accel_tid(*accel),
-                    &format!("\"bytes\":{bytes}"),
-                );
-            }
-            EventKind::SchedEnqueue { accel, tile } => {
-                w.event(
-                    "enqueue",
-                    'i',
-                    e.at,
-                    None,
-                    sched_tid(*accel),
-                    &format!("\"tile\":{tile}"),
-                );
-            }
+                ..
+            } => w.event(
+                "cache_miss",
+                'i',
+                at,
+                None,
+                tid,
+                format_args!("\"count\":{count},\"bytes_fetched\":{bytes_fetched}"),
+            ),
+            EventKind::CacheEvict { count, .. } => w.event(
+                "cache_evict",
+                'i',
+                at,
+                None,
+                tid,
+                format_args!("\"count\":{count}"),
+            ),
+            EventKind::LsHighWater { bytes, .. } => w.event(
+                "ls_high_water",
+                'C',
+                at,
+                None,
+                tid,
+                format_args!("\"bytes\":{bytes}"),
+            ),
+            EventKind::SchedEnqueue { tile, .. } => w.event(
+                "enqueue",
+                'i',
+                at,
+                None,
+                tid,
+                format_args!("\"tile\":{tile}"),
+            ),
             EventKind::SchedRun {
-                accel,
-                tile,
-                end,
-                stolen_from,
+                accel, tile, end, ..
             } => {
-                let mut args = format!("\"tile\":{tile},\"accel\":{accel}");
-                if let Some(victim) = stolen_from {
-                    args.push_str(&format!(",\"stolen_from\":{victim}"));
-                }
+                formatted.clear();
+                let _ = write!(formatted, "tile {tile}");
                 w.event(
-                    &format!("tile {tile}"),
+                    &formatted,
                     'X',
-                    e.at,
-                    Some(end.saturating_sub(e.at)),
-                    sched_tid(*accel),
-                    &args,
+                    at,
+                    Some(*end),
+                    tid,
+                    format_args!("\"tile\":{tile},\"accel\":{accel}{}", VariantArgs(&e.kind)),
                 );
             }
-            EventKind::SchedIdle { accel, until } => {
-                w.event(
-                    "idle",
-                    'X',
-                    e.at,
-                    Some(until.saturating_sub(e.at)),
-                    sched_tid(*accel),
-                    &format!("\"accel\":{accel}"),
-                );
-            }
+            EventKind::SchedIdle { accel, until } => w.event(
+                "idle",
+                'X',
+                at,
+                Some(*until),
+                tid,
+                format_args!("\"accel\":{accel}"),
+            ),
             EventKind::SchedSteal {
-                thief,
-                victim,
-                tile,
-                cost,
-            } => {
-                w.event(
-                    "steal",
-                    'i',
-                    e.at,
-                    None,
-                    sched_tid(*thief),
-                    &format!("\"victim\":{victim},\"tile\":{tile},\"cost\":{cost}"),
-                );
-            }
+                victim, tile, cost, ..
+            } => w.event(
+                "steal",
+                'i',
+                at,
+                None,
+                tid,
+                format_args!("\"victim\":{victim},\"tile\":{tile},\"cost\":{cost}"),
+            ),
             EventKind::PipeRun {
                 accel,
                 stage,
                 chunk,
                 end,
             } => {
+                formatted.clear();
+                let _ = write!(formatted, "s{stage} chunk {chunk}");
                 w.event(
-                    &format!("s{stage} chunk {chunk}"),
+                    &formatted,
                     'X',
-                    e.at,
-                    Some(end.saturating_sub(e.at)),
-                    pipe_tid(*accel),
-                    &format!("\"accel\":{accel},\"stage\":{stage},\"chunk\":{chunk}"),
+                    at,
+                    Some(*end),
+                    tid,
+                    format_args!("\"accel\":{accel},\"stage\":{stage},\"chunk\":{chunk}"),
                 );
             }
             EventKind::PipeWait {
@@ -644,60 +674,42 @@ pub fn chrome_trace_json(log: &EventLog) -> String {
                 chunk,
                 until,
                 backpressure,
-            } => {
-                let name = if *backpressure {
+            } => w.event(
+                if *backpressure {
                     "backpressure"
                 } else {
                     "input wait"
-                };
-                w.event(
-                    name,
-                    'X',
-                    e.at,
-                    Some(until.saturating_sub(e.at)),
-                    pipe_tid(*accel),
-                    &format!("\"accel\":{accel},\"stage\":{stage},\"chunk\":{chunk}"),
-                );
-            }
-            EventKind::FaultInjected { accel, fault } => {
-                use crate::fault::FaultKind;
-                let mut args = format!("\"accel\":{accel},\"kind\":\"{}\"", fault.name());
-                match fault {
-                    FaultKind::DmaCorrupt { tag, bytes } | FaultKind::DmaDrop { tag, bytes } => {
-                        args.push_str(&format!(",\"tag\":{tag},\"bytes\":{bytes}"));
-                    }
-                    FaultKind::TagTimeout { stall } => {
-                        args.push_str(&format!(",\"stall\":{stall}"));
-                    }
-                    FaultKind::AccelStall { cycles } => {
-                        args.push_str(&format!(",\"cycles\":{cycles}"));
-                    }
-                    FaultKind::AccelDeath | FaultKind::LsPoison => {}
-                }
-                w.event(fault.name(), 'i', e.at, None, fault_tid(*accel), &args);
-            }
-            EventKind::RecoveryApplied { accel, recovery } => {
-                use crate::fault::RecoveryKind;
-                let mut args = format!("\"accel\":{accel},\"kind\":\"{}\"", recovery.name());
-                match recovery {
-                    RecoveryKind::Retry {
-                        tile,
-                        attempt,
-                        backoff,
-                    } => {
-                        args.push_str(&format!(
-                            ",\"tile\":{tile},\"attempt\":{attempt},\"backoff\":{backoff}"
-                        ));
-                    }
-                    RecoveryKind::Evict { tiles_moved } => {
-                        args.push_str(&format!(",\"tiles_moved\":{tiles_moved}"));
-                    }
-                    RecoveryKind::HostFallback { tile } => {
-                        args.push_str(&format!(",\"tile\":{tile}"));
-                    }
-                }
-                w.event(recovery.name(), 'i', e.at, None, fault_tid(*accel), &args);
-            }
+                },
+                'X',
+                at,
+                Some(*until),
+                tid,
+                format_args!("\"accel\":{accel},\"stage\":{stage},\"chunk\":{chunk}"),
+            ),
+            EventKind::FaultInjected { accel, fault } => w.event(
+                fault.name(),
+                'i',
+                at,
+                None,
+                tid,
+                format_args!(
+                    "\"accel\":{accel},\"kind\":\"{}\"{}",
+                    fault.name(),
+                    VariantArgs(&e.kind)
+                ),
+            ),
+            EventKind::RecoveryApplied { accel, recovery } => w.event(
+                recovery.name(),
+                'i',
+                at,
+                None,
+                tid,
+                format_args!(
+                    "\"accel\":{accel},\"kind\":\"{}\"{}",
+                    recovery.name(),
+                    VariantArgs(&e.kind)
+                ),
+            ),
         }
     }
     // Close any offloads left open (trace captured mid-offload).
@@ -708,7 +720,7 @@ pub fn chrome_trace_json(log: &EventLog) -> String {
             start,
             None,
             accel_tid(accel),
-            &format!("\"accel\":{accel}"),
+            format_args!("\"accel\":{accel}"),
         );
     }
     w.finish()
@@ -734,9 +746,10 @@ pub struct ChromeEvent {
 }
 
 impl ChromeEvent {
-    /// End timestamp of a complete event (`ts` for everything else).
+    /// End timestamp of a complete event (`ts` for everything else),
+    /// saturating at `u64::MAX`.
     pub fn end(&self) -> u64 {
-        self.ts + self.dur.unwrap_or(0)
+        self.ts.saturating_add(self.dur.unwrap_or(0))
     }
 
     /// Whether two complete events overlap in time.
@@ -747,7 +760,9 @@ impl ChromeEvent {
 
 /// A hand-rolled, dependency-free parser for the subset of JSON the
 /// exporter emits (objects, arrays, strings, and unsigned integers).
+/// Strings come back as slices of the input unless they hold an escape.
 struct MiniJson<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -755,6 +770,7 @@ struct MiniJson<'a> {
 impl<'a> MiniJson<'a> {
     fn new(s: &'a str) -> MiniJson<'a> {
         MiniJson {
+            src: s,
             bytes: s.as_bytes(),
             pos: 0,
         }
@@ -795,75 +811,91 @@ impl<'a> MiniJson<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// A string literal: a slice of the input when it holds no escape,
+    /// an owned decoded copy when it does. Always inlined: every key and
+    /// most values come through here, and nearly none holds an escape.
+    #[inline(always)]
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err("unterminated string".into());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("unterminated escape".into());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("unknown escape \\{}", other as char)),
-                    }
-                }
-                other => {
-                    // Re-borrow as chars for multi-byte UTF-8: back up and
-                    // take the full char.
-                    if other < 0x80 {
-                        out.push(other as char);
-                    } else {
-                        self.pos -= 1;
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|e| e.to_string())?;
-                        let c = rest.chars().next().ok_or("empty char")?;
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
+        let start = self.pos;
+        let end = self.run_end(start)?;
+        if self.bytes[end] == b'"' {
+            self.pos = end + 1;
+            return Ok(Cow::Borrowed(&self.src[start..end]));
         }
+        self.decode(start).map(Cow::Owned)
+    }
+
+    /// Decodes a string that holds an escape, from `start` just past its
+    /// opening quote: each run of plain text is copied whole, then the
+    /// char its closing escape stands for.
+    #[cold]
+    fn decode(&mut self, start: usize) -> Result<String, String> {
+        let mut decoded = String::new();
+        self.pos = start;
+        loop {
+            let end = self.run_end(self.pos)?;
+            decoded.push_str(&self.src[self.pos..end]);
+            self.pos = end + 1;
+            if self.bytes[end] == b'"' {
+                return Ok(decoded);
+            }
+            decoded.push(self.escape()?);
+        }
+    }
+
+    /// Where the run of plain text from `start` ends: at the next quote
+    /// or backslash. Both are ASCII, so the run is a whole slice of `src`.
+    fn run_end(&self, start: usize) -> Result<usize, String> {
+        let len = self.bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\');
+        len.map(|len| start + len)
+            .ok_or_else(|| "unterminated string".into())
+    }
+
+    /// The char an escape stands for; `pos` is just past the backslash.
+    fn escape(&mut self) -> Result<char, String> {
+        let &esc = self.bytes.get(self.pos).ok_or("unterminated escape")?;
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let hex = self
+                    .bytes
+                    .get(self.pos..self.pos + 4)
+                    .ok_or("truncated \\u escape")?;
+                let mut code = 0;
+                for &h in hex {
+                    code = code * 16 + char::from(h).to_digit(16).ok_or("bad \\u escape")?;
+                }
+                self.pos += 4;
+                char::from_u32(code).unwrap_or('\u{fffd}')
+            }
+            other => return Err(format!("unknown escape \\{}", other as char)),
+        })
     }
 
     fn number(&mut self) -> Result<u64, String> {
         self.skip_ws();
         let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
+        let mut n: u64 = 0;
+        while let Some(&b) = self.bytes.get(self.pos).filter(|b| b.is_ascii_digit()) {
+            n = n
+                .checked_mul(10)
+                .and_then(|n| n.checked_add(u64::from(b - b'0')))
+                .ok_or_else(|| format!("number at byte {start} overflows u64"))?;
             self.pos += 1;
         }
         if start == self.pos {
             return Err(format!("expected number at byte {start}"));
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse()
-            .map_err(|e: std::num::ParseIntError| e.to_string())
+        Ok(n)
     }
 
     /// Skips any JSON value (used for `args` bodies and unknown fields).
@@ -961,12 +993,9 @@ fn parse_event(p: &mut MiniJson<'_>) -> Result<ChromeEvent, String> {
     loop {
         let key = p.string()?;
         p.expect(b':')?;
-        match key.as_str() {
-            "name" => event.name = p.string()?,
-            "ph" => {
-                let s = p.string()?;
-                event.ph = s.chars().next().ok_or("empty ph")?;
-            }
+        match &*key {
+            "name" => event.name = p.string()?.into_owned(),
+            "ph" => event.ph = p.string()?.chars().next().ok_or("empty ph")?,
             "ts" => event.ts = p.number()?,
             "dur" => event.dur = Some(p.number()?),
             "tid" => event.tid = p.number()?,
@@ -997,7 +1026,7 @@ fn parse_event(p: &mut MiniJson<'_>) -> Result<ChromeEvent, String> {
 pub fn ascii_timeline(log: &EventLog, width: usize) -> String {
     let width = width.max(10);
     let events = log.sorted();
-    let Some(t_end) = events.iter().map(end_cycle).max() else {
+    let Some(t_end) = events.iter().copied().map(end_cycle).max() else {
         return String::from("(empty trace)\n");
     };
     let t_end = t_end.max(1);
