@@ -301,15 +301,16 @@ pub struct DmaStats {
     pub misaligned: u64,
 }
 
-/// One queued command: everything `wait`/`tag_busy` need to retire it.
+/// The in-flight commands of one tag: everything `wait`/`tag_busy`
+/// need to retire them.
 ///
-/// The full [`DmaRequest`] is *not* kept here — the race checker holds
-/// the address ranges it needs, keyed by `id`, and completion tracking
-/// only needs the time.
-#[derive(Clone, Copy, Debug)]
-struct QueuedCmd {
-    id: u64,
-    complete_at: u64,
+/// Commands are not kept one by one — the race checker holds the
+/// address ranges it needs, and a wait retires the whole group, so
+/// completion tracking only needs the count and the latest time.
+#[derive(Clone, Copy, Debug, Default)]
+struct TagGroup {
+    pending: usize,
+    done_at: u64,
 }
 
 /// An MFC-like DMA engine serving one accelerator's local store.
@@ -358,15 +359,11 @@ pub struct DmaEngine {
     local_space: memspace::SpaceId,
     timing: DmaTiming,
     engine_free_at: u64,
-    // One completion ring per tag. The engine streams commands serially
-    // (`admit` advances `engine_free_at` monotonically), so completion
-    // times are non-decreasing in issue order: each ring is sorted by
-    // construction and the latest completion under a tag is its back.
-    // `wait` is then O(tags-in-mask + commands-retired) instead of a
-    // scan of everything in flight, and the rings keep their capacity
-    // across retire/reissue (the free list), so steady-state issue and
-    // wait allocate nothing.
-    queues: [std::collections::VecDeque<QueuedCmd>; Tag::COUNT as usize],
+    // One group per tag. A wait retires every command of a tag at once
+    // and resumes at the group's latest completion, so `wait` is
+    // O(tags-in-mask) plus one race-checker pass, and issue and wait
+    // allocate nothing.
+    groups: [TagGroup; Tag::COUNT as usize],
     inflight_count: usize,
     next_id: u64,
     last_complete_at: u64,
@@ -387,7 +384,7 @@ impl DmaEngine {
             local_space,
             timing,
             engine_free_at: 0,
-            queues: std::array::from_fn(|_| std::collections::VecDeque::new()),
+            groups: [TagGroup::default(); Tag::COUNT as usize],
             inflight_count: 0,
             next_id: 1,
             last_complete_at: 0,
@@ -508,7 +505,7 @@ impl DmaEngine {
     /// Issues `request` and immediately waits on its tag, for callers
     /// that know the tag's queue is idle (the synchronous outer-access
     /// staging path). The command is issued and retired in one step, so
-    /// the per-tag ring and the race tracker's in-flight list are never
+    /// the tag group and the race tracker's in-flight list are never
     /// touched — every observable (statistics, command ids, race
     /// reports, engine and caller clocks) is bit-identical to
     /// [`DmaEngine::get`] or [`DmaEngine::put`] followed by
@@ -593,7 +590,9 @@ impl DmaEngine {
             return Ok(resume);
         }
         self.checker.note_issue(id, &request, now);
-        self.queues[tag.raw() as usize].push_back(QueuedCmd { id, complete_at });
+        let group = &mut self.groups[tag.raw() as usize];
+        group.pending += 1;
+        group.done_at = group.done_at.max(complete_at);
         self.inflight_count += 1;
         Ok(issued)
     }
@@ -605,20 +604,20 @@ impl DmaEngine {
     /// commands are retired.
     pub fn wait(&mut self, mask: TagMask, now: u64) -> u64 {
         let mut resume = now;
+        let mut retired = 0;
         let mut bits = mask.bits();
         while bits != 0 {
             let raw = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let queue = &mut self.queues[raw];
-            // The ring is completion-ordered, so the group's finish time
-            // is simply its newest command.
-            if let Some(last) = queue.back() {
-                resume = resume.max(last.complete_at);
+            let group = std::mem::take(&mut self.groups[raw]);
+            if group.pending > 0 {
+                resume = resume.max(group.done_at);
+                retired += group.pending;
             }
-            while let Some(cmd) = queue.pop_front() {
-                self.checker.note_retire(cmd.id);
-                self.inflight_count -= 1;
-            }
+        }
+        if retired > 0 {
+            self.inflight_count -= retired;
+            self.checker.note_wait(mask);
         }
         self.stats.stall_cycles += resume - now;
         resume
@@ -646,7 +645,7 @@ impl DmaEngine {
     /// Whether any command under `tag` is still in flight.
     #[inline]
     pub fn tag_busy(&self, tag: Tag) -> bool {
-        !self.queues[tag.raw() as usize].is_empty()
+        self.groups[tag.raw() as usize].pending > 0
     }
 
     /// Number of in-flight commands whose tag is in `mask`.
@@ -660,7 +659,7 @@ impl DmaEngine {
         while bits != 0 {
             let raw = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            pending += self.queues[raw].len();
+            pending += self.groups[raw].pending;
         }
         pending
     }
@@ -674,24 +673,19 @@ impl DmaEngine {
     /// Retires the commands with the race checker so later accesses are
     /// not flagged against ghosts.
     pub fn purge(&mut self) {
-        for queue in &mut self.queues {
-            while let Some(cmd) = queue.pop_front() {
-                self.checker.note_retire(cmd.id);
-                self.inflight_count -= 1;
-            }
-        }
+        self.groups = [TagGroup::default(); Tag::COUNT as usize];
+        self.inflight_count = 0;
+        self.checker.note_wait(TagMask::ALL);
     }
 
     /// Restores the engine to its as-constructed state: in-flight
     /// commands, statistics, the race checker's history, the command
-    /// id counter and every clock are discarded. The per-tag rings keep
-    /// their capacity, so a reset engine reissues without allocating —
+    /// id counter and every clock are discarded. The race checker keeps
+    /// its capacity, so a reset engine reissues without allocating —
     /// the machine-reuse path of the sim farm depends on a reset engine
     /// being indistinguishable from a new one.
     pub fn reset(&mut self) {
-        for queue in &mut self.queues {
-            queue.clear();
-        }
+        self.groups = [TagGroup::default(); Tag::COUNT as usize];
         self.inflight_count = 0;
         self.engine_free_at = 0;
         self.next_id = 1;

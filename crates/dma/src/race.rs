@@ -15,7 +15,7 @@ use std::fmt;
 
 use memspace::AddrRange;
 
-use crate::engine::{DmaDirection, DmaRequest};
+use crate::engine::{DmaDirection, DmaRequest, Tag, TagMask};
 
 /// The kind of a direct core access to the local store.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -140,12 +140,90 @@ impl fmt::Display for RaceReport {
 #[derive(Clone, Copy, Debug)]
 struct Tracked {
     id: u64,
+    tag: Tag,
     local: AddrRange,
     remote: AddrRange,
     direction: DmaDirection,
 }
 
+/// The offset interval `lo..hi` covering a set of ranges, in any space;
+/// empty when `lo >= hi`. A range that misses the hull overlaps none of
+/// the ranges it covers.
+#[derive(Clone, Copy, Debug)]
+struct Hull {
+    lo: u32,
+    hi: u32,
+}
+
+impl Hull {
+    const EMPTY: Hull = Hull {
+        lo: u32::MAX,
+        hi: 0,
+    };
+
+    fn add(&mut self, range: AddrRange) {
+        self.lo = self.lo.min(range.start().offset());
+        self.hi = self.hi.max(range.end_offset());
+    }
+
+    fn meets(self, range: AddrRange) -> bool {
+        range.start().offset() < self.hi && self.lo < range.end_offset()
+    }
+}
+
+/// Hulls of the tracked local and remote ranges, one per direction:
+/// index 0 covers gets, index 1 puts.
+#[derive(Clone, Copy, Debug)]
+struct Hulls {
+    local: [Hull; 2],
+    remote: [Hull; 2],
+}
+
+impl Hulls {
+    const EMPTY: Hulls = Hulls {
+        local: [Hull::EMPTY; 2],
+        remote: [Hull::EMPTY; 2],
+    };
+
+    fn add(&mut self, entry: &Tracked) {
+        let slot = match entry.direction {
+            DmaDirection::Get => 0,
+            DmaDirection::Put => 1,
+        };
+        self.local[slot].add(entry.local);
+        self.remote[slot].add(entry.remote);
+    }
+
+    /// Whether `entry` could race some tracked transfer under the rules
+    /// of [`RaceChecker::note_issue`]: a get's local range against every
+    /// tracked local range and its remote range against tracked puts; a
+    /// put's local range against tracked gets and its remote range
+    /// against every tracked remote range.
+    fn may_race(&self, entry: &Tracked) -> bool {
+        let (local, remote) = (entry.local, entry.remote);
+        let [local_get, local_put] = self.local;
+        let [remote_get, remote_put] = self.remote;
+        match entry.direction {
+            DmaDirection::Get => {
+                local_get.meets(local) || local_put.meets(local) || remote_put.meets(remote)
+            }
+            DmaDirection::Put => {
+                local_get.meets(local) || remote_get.meets(remote) || remote_put.meets(remote)
+            }
+        }
+    }
+}
+
 /// Dynamic race checker attached to a [`crate::DmaEngine`].
+///
+/// # Cost
+///
+/// The checker keeps per-direction offset hulls of the local and remote
+/// ranges it tracks. An issue whose ranges miss every hull that could
+/// hold a conflicting transfer is O(1); any other issue scans the
+/// in-flight list, so reports come out exactly as a full scan would
+/// give them. [`RaceChecker::note_wait`] retires a whole tag group and
+/// rebuilds the hulls in one pass over the in-flight list.
 ///
 /// # Example
 ///
@@ -163,6 +241,7 @@ struct Tracked {
 pub struct RaceChecker {
     mode: RaceMode,
     tracked: Vec<Tracked>,
+    hulls: Hulls,
     reports: Vec<RaceReport>,
     detected: u64,
 }
@@ -173,6 +252,7 @@ impl RaceChecker {
         RaceChecker {
             mode,
             tracked: Vec::new(),
+            hulls: Hulls::EMPTY,
             reports: Vec::new(),
             detected: 0,
         }
@@ -188,6 +268,7 @@ impl RaceChecker {
     /// of [`crate::DmaEngine::reset`].
     pub fn reset(&mut self) {
         self.tracked.clear();
+        self.hulls = Hulls::EMPTY;
         self.reports.clear();
         self.detected = 0;
     }
@@ -225,15 +306,17 @@ impl RaceChecker {
     pub fn note_issue(&mut self, id: u64, request: &DmaRequest, now: u64) {
         let entry = Self::entry_for(id, request);
         self.scan_against_inflight(&entry, now);
+        self.hulls.add(&entry);
         self.tracked.push(entry);
     }
 
     /// Checks a transfer that is issued and retired in one step — a
     /// synchronous staging round trip whose tag queue is idle — against
     /// every transfer still in flight, without tracking it. Because an
-    /// issue immediately followed by a retire leaves `tracked`
-    /// unchanged and nothing else can observe the transient entry, this
-    /// is report-for-report identical to `note_issue` + `note_retire`.
+    /// issue immediately followed by a retire of its tag leaves
+    /// `tracked` unchanged and nothing else can observe the transient
+    /// entry, this is report-for-report identical to `note_issue` +
+    /// `note_wait`.
     ///
     /// # Panics
     ///
@@ -256,6 +339,7 @@ impl RaceChecker {
             .expect("engine validated the remote range");
         Tracked {
             id,
+            tag: request.tag,
             local,
             remote,
             direction: request.direction,
@@ -263,6 +347,9 @@ impl RaceChecker {
     }
 
     fn scan_against_inflight(&mut self, entry: &Tracked, now: u64) {
+        if !self.hulls.may_race(entry) {
+            return;
+        }
         let (id, local, remote) = (entry.id, entry.local, entry.remote);
         let mut found = Vec::new();
         for other in &self.tracked {
@@ -301,9 +388,19 @@ impl RaceChecker {
         }
     }
 
-    /// Retires a transfer (its tag group was waited on).
-    pub fn note_retire(&mut self, id: u64) {
-        self.tracked.retain(|t| t.id != id);
+    /// Retires every tracked transfer whose tag is in `mask` (those tag
+    /// groups were waited on), rebuilding the hulls from the transfers
+    /// still in flight in the same pass.
+    pub fn note_wait(&mut self, mask: TagMask) {
+        let mut hulls = Hulls::EMPTY;
+        self.tracked.retain(|t| {
+            let keep = !mask.contains(t.tag);
+            if keep {
+                hulls.add(t);
+            }
+            keep
+        });
+        self.hulls = hulls;
     }
 
     /// Checks a direct core access to the local store against in-flight
@@ -418,7 +515,7 @@ mod tests {
     fn access_after_retire_is_clean() {
         let mut c = RaceChecker::new(RaceMode::Record);
         c.note_issue(1, &request(0x100, 0x1000, 64, DmaDirection::Get), 0);
-        c.note_retire(1);
+        c.note_wait(crate::Tag::new(0).unwrap().mask());
         c.note_access(ls_range(0x120, 4), AccessKind::Read, 10);
         assert!(c.reports().is_empty());
         assert_eq!(c.detected(), 0);

@@ -282,14 +282,11 @@ impl Analyzer {
                 }
                 KernelOp::Wait { mask } => {
                     let mask = TagMask::from_bits(*mask);
-                    pending_tags.retain(|(id, tag)| {
-                        let done = Tag::new(*tag % Tag::COUNT)
+                    self.checker.note_wait(mask);
+                    pending_tags.retain(|(_, tag)| {
+                        !Tag::new(*tag % Tag::COUNT)
                             .map(|t| mask.contains(t))
-                            .unwrap_or(false);
-                        if done {
-                            self.checker.note_retire(*id);
-                        }
-                        !done
+                            .unwrap_or(false)
                     });
                 }
                 KernelOp::Access { range, kind } => {

@@ -1,9 +1,10 @@
-//! Edge cases of the per-tag-ring DMA bookkeeping.
+//! Edge cases of the per-tag DMA bookkeeping.
 //!
-//! The engine's in-flight ledger is a FIFO ring per tag plus a counter;
-//! these tests pin down the behaviours that representation must
-//! preserve from the seed's flat list: empty-group waits are free, tags
-//! are fully reusable after retirement, retirement order does not
+//! The engine's in-flight ledger is a pending count and a latest
+//! completion per tag, and a wait retires whole tag groups from the race
+//! checker; these tests pin down the behaviours that representation
+//! must preserve from the seed's flat list: empty-group waits are free,
+//! tags are fully reusable after retirement, retirement order does not
 //! confuse the race checker, and overlap reports survive the
 //! reorganisation. The synchronous entry point is pinned against the
 //! issue-then-wait sequence it fuses.
@@ -59,7 +60,7 @@ fn wait_on_idle_tag_ignores_other_tags_in_flight() {
             &mut ls,
         )
         .unwrap();
-    // Tag 5's ring is empty: waiting on it must not block on tag 3.
+    // Tag 5's group is empty: waiting on it must not block on tag 3.
     assert_eq!(engine.wait(tag(5).mask(), 10), 10);
     assert_eq!(engine.stats().stall_cycles, 0);
     assert!(engine.tag_busy(tag(3)));

@@ -58,7 +58,9 @@ pub struct AccelCtx<'m> {
     pub(crate) stats: &'m mut MachineStats,
     pub(crate) accesses: &'m mut softcache::AccessTrace,
     pub(crate) span: u32,
-    pub(crate) tuned: Option<TunedCache>,
+    /// Boxed so the per-access take-and-restore in
+    /// [`AccelCtx::tuned_read_pod`] moves a pointer, not the cache.
+    pub(crate) tuned: Option<Box<TunedCache>>,
     pub(crate) faults: &'m mut FaultPlane,
     pub(crate) fault_sticky: Option<FaultError>,
     pub(crate) put_journal: Vec<(Addr, Vec<u8>)>,
@@ -1273,7 +1275,9 @@ impl<'m> AccelCtx<'m> {
         } else {
             *choice
         };
-        self.tuned = choice.build(memspace::SpaceId::MAIN, self.ls)?;
+        self.tuned = choice
+            .build(memspace::SpaceId::MAIN, self.ls)?
+            .map(Box::new);
         Ok(())
     }
 
@@ -1281,7 +1285,7 @@ impl<'m> AccelCtx<'m> {
     /// the write-back to this accelerator's clock.
     pub(crate) fn flush_tuned(&mut self) -> Result<(), SimError> {
         if let Some(mut cache) = self.tuned.take() {
-            self.cache_flush(&mut cache)?;
+            self.cache_flush(&mut *cache)?;
         }
         Ok(())
     }
@@ -1302,7 +1306,7 @@ impl<'m> AccelCtx<'m> {
     pub fn tuned_read_pod<T: Pod>(&mut self, addr: Addr) -> Result<T, SimError> {
         match self.tuned.take() {
             Some(mut cache) => {
-                let result = self.cached_read_pod(&mut cache, addr);
+                let result = self.cached_read_pod(&mut *cache, addr);
                 self.tuned = Some(cache);
                 result
             }
@@ -1320,7 +1324,7 @@ impl<'m> AccelCtx<'m> {
     pub fn tuned_write_pod<T: Pod>(&mut self, addr: Addr, value: &T) -> Result<(), SimError> {
         match self.tuned.take() {
             Some(mut cache) => {
-                let result = self.cached_write_pod(&mut cache, addr, value);
+                let result = self.cached_write_pod(&mut *cache, addr, value);
                 self.tuned = Some(cache);
                 result
             }

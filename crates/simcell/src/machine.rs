@@ -368,12 +368,17 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Rejects configurations with no accelerators, or staging buffers
-    /// that do not fit the local store.
+    /// Rejects configurations with no accelerators, no main memory, or
+    /// staging buffers that do not fit the local store.
     pub fn new(config: MachineConfig) -> Result<Machine, SimError> {
         if config.accel_count == 0 {
             return Err(SimError::BadConfig {
                 reason: "at least one accelerator is required".into(),
+            });
+        }
+        if config.main_capacity == 0 {
+            return Err(SimError::BadConfig {
+                reason: "main memory capacity must be positive".into(),
             });
         }
         if config.staging_size == 0 || config.staging_size >= config.local_store_size {
@@ -1268,6 +1273,11 @@ mod tests {
         assert!(matches!(Machine::new(bad), Err(SimError::BadConfig { .. })));
         let bad = MachineConfig {
             staging_size: 0,
+            ..MachineConfig::default()
+        };
+        assert!(matches!(Machine::new(bad), Err(SimError::BadConfig { .. })));
+        let bad = MachineConfig {
+            main_capacity: 0,
             ..MachineConfig::default()
         };
         assert!(matches!(Machine::new(bad), Err(SimError::BadConfig { .. })));

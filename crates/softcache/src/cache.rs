@@ -78,6 +78,11 @@ impl LineMeta {
 #[derive(Debug)]
 pub struct SetAssociativeCache {
     config: CacheConfig,
+    /// `log2(line_size)`: a remote offset shifted right by this is its
+    /// line number.
+    line_shift: u32,
+    /// `num_sets - 1`: a line number masked by this is its set.
+    set_mask: u32,
     remote_space: SpaceId,
     base: Addr,
     lines: Vec<LineMeta>,
@@ -93,15 +98,20 @@ impl SetAssociativeCache {
     ///
     /// # Errors
     ///
-    /// Fails if the local store cannot fit the configured capacity.
+    /// Fails with [`CacheError::BadGeometry`] if the configuration's
+    /// geometry cannot be indexed, and with a memory error if the local
+    /// store cannot fit the configured capacity.
     pub fn new(
         config: CacheConfig,
         remote_space: SpaceId,
         ls: &mut memspace::MemoryRegion,
     ) -> Result<SetAssociativeCache, CacheError> {
+        config.validate()?;
         let base = ls.alloc(config.capacity_bytes(), memspace::DMA_ALIGN)?;
         Ok(SetAssociativeCache {
             config,
+            line_shift: config.line_size.trailing_zeros(),
+            set_mask: config.num_sets - 1,
             remote_space,
             base,
             lines: vec![LineMeta::empty(); (config.num_sets * config.ways) as usize],
@@ -124,6 +134,14 @@ impl SetAssociativeCache {
         Tag::new(WRITE_TAG).expect("constant tag is valid")
     }
 
+    /// Splits a remote byte offset into `(line_number, offset_in_line)`.
+    fn split_offset(&self, offset: u32) -> (u32, u32) {
+        (
+            offset >> self.line_shift,
+            offset & (self.config.line_size - 1),
+        )
+    }
+
     fn slot_index(&self, set: u32, way: u32) -> usize {
         (set * self.config.ways + way) as usize
     }
@@ -141,7 +159,7 @@ impl SetAssociativeCache {
         line_number: u32,
         backing: &mut CacheBacking<'_>,
     ) -> Result<(u32, u32, u64), CacheError> {
-        let set = self.config.set_of(line_number);
+        let set = line_number & self.set_mask;
         self.lru_clock += 1;
         let clock = self.lru_clock;
 
@@ -269,7 +287,7 @@ impl SoftwareCache for SetAssociativeCache {
         let total = out.len() as u32;
         while done < total {
             let offset = addr.offset() + done;
-            let (line_number, in_line) = self.config.split_offset(offset);
+            let (line_number, in_line) = self.split_offset(offset);
             let chunk = (self.config.line_size - in_line).min(total - done);
             let (set, way, after) = self.ensure_line(t, line_number, backing)?;
             t = after + self.config.copy_cycles(chunk);
@@ -297,7 +315,7 @@ impl SoftwareCache for SetAssociativeCache {
         let total = data.len() as u32;
         while done < total {
             let offset = addr.offset() + done;
-            let (line_number, in_line) = self.config.split_offset(offset);
+            let (line_number, in_line) = self.split_offset(offset);
             let chunk = (self.config.line_size - in_line).min(total - done);
             let (set, way, after) = self.ensure_line(t, line_number, backing)?;
             t = after + self.config.copy_cycles(chunk);
@@ -632,6 +650,62 @@ mod tests {
         let t = cache.read_pod::<u32>(0, addr(0), &mut backing).unwrap().1;
         assert_eq!(cache.stats().cycles, t);
         assert!(cache.stats().bytes_fetched >= 64);
+    }
+
+    #[test]
+    fn geometry_that_cannot_be_indexed_is_rejected_at_construction() {
+        let base = CacheConfig::direct_mapped_4k();
+        let bad = [
+            CacheConfig {
+                line_size: 0,
+                ..base
+            },
+            CacheConfig {
+                line_size: 48,
+                ..base
+            },
+            CacheConfig {
+                num_sets: 0,
+                ..base
+            },
+            CacheConfig {
+                num_sets: 3,
+                ..base
+            },
+            CacheConfig { ways: 0, ..base },
+            CacheConfig {
+                line_size: 1 << 16,
+                num_sets: 1 << 16,
+                ..base
+            },
+        ];
+        for config in bad {
+            let mut rig = Rig::new();
+            let expected = CacheError::BadGeometry {
+                line_size: config.line_size,
+                num_sets: config.num_sets,
+                ways: config.ways,
+            };
+            let set_assoc = SetAssociativeCache::new(config, SpaceId::MAIN, &mut rig.ls);
+            assert_eq!(set_assoc.unwrap_err(), expected, "{config:?}");
+            let stream = crate::StreamCache::new(config, SpaceId::MAIN, &mut rig.ls);
+            assert_eq!(stream.unwrap_err(), expected, "{config:?}");
+            assert_eq!(
+                rig.ls.save_alloc(),
+                memspace::DMA_ALIGN,
+                "nothing allocated for {config:?}"
+            );
+        }
+        // The smallest geometry `CacheConfig::new` accepts still builds
+        // and serves reads.
+        let mut rig = Rig::new();
+        let config = CacheConfig::new(16, 1, 1);
+        let mut cache = SetAssociativeCache::new(config, SpaceId::MAIN, &mut rig.ls).unwrap();
+        rig.main.write_pod(addr(40), &9u32).unwrap();
+        let (v, _) = cache
+            .read_pod::<u32>(0, addr(40), &mut rig.backing())
+            .unwrap();
+        assert_eq!(v, 9);
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::CacheError;
+
 /// What happens on a cache write.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum WritePolicy {
@@ -126,6 +128,32 @@ impl CacheConfig {
     pub fn copy_cost(mut self, cycles: u64) -> CacheConfig {
         self.copy_cost = cycles;
         self
+    }
+
+    /// Checks the geometry a cache indexes by: `line_size` and
+    /// `num_sets` non-zero powers of two, `ways` at least 1, and the
+    /// capacity within `u32`. The fields are public, so a struct
+    /// literal skips [`CacheConfig::new`]'s asserts; every cache
+    /// constructor checks here instead.
+    pub(crate) fn validate(&self) -> Result<(), CacheError> {
+        let fits = self
+            .line_size
+            .checked_mul(self.num_sets)
+            .and_then(|bytes| bytes.checked_mul(self.ways))
+            .is_some();
+        if self.line_size.is_power_of_two()
+            && self.num_sets.is_power_of_two()
+            && self.ways > 0
+            && fits
+        {
+            Ok(())
+        } else {
+            Err(CacheError::BadGeometry {
+                line_size: self.line_size,
+                num_sets: self.num_sets,
+                ways: self.ways,
+            })
+        }
     }
 
     /// Total data capacity in bytes.

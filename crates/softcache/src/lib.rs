@@ -86,6 +86,17 @@ pub enum CacheError {
     Dma(DmaError),
     /// An underlying memory failure.
     Memory(MemError),
+    /// The configuration's geometry cannot be indexed: a zero or
+    /// non-power-of-two line size or set count, zero ways, or a
+    /// capacity that does not fit in a `u32`.
+    BadGeometry {
+        /// Line size in bytes.
+        line_size: u32,
+        /// Number of sets.
+        num_sets: u32,
+        /// Associativity.
+        ways: u32,
+    },
 }
 
 impl std::fmt::Display for CacheError {
@@ -96,6 +107,16 @@ impl std::fmt::Display for CacheError {
             }
             CacheError::Dma(err) => write!(f, "DMA failure in software cache: {err}"),
             CacheError::Memory(err) => write!(f, "memory failure in software cache: {err}"),
+            CacheError::BadGeometry {
+                line_size,
+                num_sets,
+                ways,
+            } => write!(
+                f,
+                "invalid cache geometry {line_size} B lines x {num_sets} sets x {ways} ways: \
+                 line size and set count must be powers of two, ways at least 1, \
+                 and the capacity must fit in 32 bits"
+            ),
         }
     }
 }
@@ -103,7 +124,7 @@ impl std::fmt::Display for CacheError {
 impl std::error::Error for CacheError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CacheError::NotCacheable { .. } => None,
+            CacheError::NotCacheable { .. } | CacheError::BadGeometry { .. } => None,
             CacheError::Dma(err) => Some(err),
             CacheError::Memory(err) => Some(err),
         }

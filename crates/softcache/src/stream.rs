@@ -51,13 +51,16 @@ impl StreamCache {
     ///
     /// # Errors
     ///
-    /// Fails if the local store cannot fit the two line buffers plus a
-    /// 16-byte write staging area.
+    /// Fails with [`CacheError::BadGeometry`] if the configuration's
+    /// geometry is invalid (as for [`crate::SetAssociativeCache::new`]),
+    /// and with a memory error if the local store cannot fit the two
+    /// line buffers plus a 16-byte write staging area.
     pub fn new(
         config: CacheConfig,
         remote_space: SpaceId,
         ls: &mut memspace::MemoryRegion,
     ) -> Result<StreamCache, CacheError> {
+        config.validate()?;
         let a = ls.alloc(config.line_size, memspace::DMA_ALIGN)?;
         let b = ls.alloc(config.line_size, memspace::DMA_ALIGN)?;
         let staging = ls.alloc(memspace::DMA_ALIGN, memspace::DMA_ALIGN)?;
