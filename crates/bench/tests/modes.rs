@@ -129,6 +129,50 @@ fn conservative_flush_of_untouched_reads_buffer_is_elided() {
     assert_eq!(before, after);
 }
 
+/// The cycle win of `reads`-declared write-back elision, pinned
+/// exactly: a 2,048-word read-only tile whose 8 header slots are
+/// stored back with the values they already hold, so the generic
+/// epilogue flushes the whole dirty-but-unchanged buffer unless the
+/// declaration lets it skip the put.
+#[test]
+fn mode_elision_cycles_on_a_read_only_tile() {
+    const TILE: u32 = 2048;
+    let run = |declare: bool| -> (u64, u64) {
+        let mut machine = Machine::new(MachineConfig::small()).expect("config valid");
+        let remote = machine.alloc_main_slice::<u32>(TILE).expect("fits");
+        let values: Vec<u32> = (0..TILE).map(|v| v.wrapping_mul(7)).collect();
+        machine
+            .main_mut()
+            .write_pod_slice(remote, &values)
+            .expect("fits");
+        let mut builder = machine.offload(0).label("read-only tile");
+        if declare {
+            builder = builder.reads(remote, TILE * 4);
+        }
+        let handle = builder
+            .spawn(move |ctx| {
+                let mut tile = ArrayAccessor::<u32>::fetch(ctx, remote, TILE)?;
+                for i in 0..8 {
+                    let v = tile.get(ctx, i)?;
+                    tile.set(ctx, i, &v)?;
+                }
+                tile.write_back(ctx)
+            })
+            .expect("accel 0 exists");
+        let elapsed = handle.elapsed();
+        machine.join(handle).expect("tile succeeds");
+        (elapsed, machine.memory_hash())
+    };
+    let (undeclared, undeclared_hash) = run(false);
+    let (declared, declared_hash) = run(true);
+    assert_eq!(
+        undeclared_hash, declared_hash,
+        "eliding the flush must not change a single byte"
+    );
+    assert_eq!(undeclared, 2048, "undeclared: fetch + full write-back");
+    assert_eq!(declared, 1072, "declared: fetch only, write-back elided");
+}
+
 /// Runs the double-buffered recovering AI frame with a caller-chosen
 /// fault seed, with or without mode declarations.
 fn buffered_frame(

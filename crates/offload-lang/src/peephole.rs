@@ -33,9 +33,9 @@
 //! The fused handler charges exactly the cycles the unfused run
 //! charges and bumps the retired-instruction counter by the run
 //! length, so cycle counts, instruction counts, traces and world
-//! hashes are bit-identical with the pass on or off. `bench_throughput`
-//! arbitrates that the pass actually pays wall-clock rent (the
-//! `vm_superinstr` lane).
+//! hashes are bit-identical with the pass on or off. Whether the pass
+//! pays wall-clock rent is measured on perfbench's `omini` workload
+//! (`offload-lang.vm_minstr_per_s` and `offload-lang.superinstrs`).
 
 use crate::bytecode::{ArithF, ArithI, Instr, SpaceTag, ValType};
 

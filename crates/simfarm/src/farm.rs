@@ -3,30 +3,21 @@
 //! `Farm` follows the FastFlow farm shape — an emitter (the caller,
 //! via [`Farm::submit`]), N workers on dedicated OS threads, and a
 //! collector (the caller again, via [`Farm::reap`]) — built on the
-//! standard library only: `mpsc` injector(s), a results channel, and a
-//! reorder buffer keyed by ticket.
+//! standard library only: one shared `mpsc` injector, a results
+//! channel, and a reorder buffer keyed by ticket.
 //!
-//! Two distribution policies, mirroring FastFlow's emitter choices:
-//!
-//! - [`Farm::new`] — **greedy**: one shared injector, each idle worker
-//!   pulls the next job. Best when worlds vary in cost, since a slow
-//!   world never blocks the queue behind it.
-//! - [`Farm::round_robin`] — **static round-robin**: per-worker
-//!   queues, world *k* goes to worker *k mod N*. For uniform batches
-//!   this pins the per-worker split exactly, which is what the farm
-//!   scaling bench measures — greedy pulling on a box with fewer CPUs
-//!   than workers turns bursty (a worker drains many jobs per
-//!   timeslice), skewing per-worker totals without being a real
-//!   imbalance.
+//! Distribution is greedy: each idle worker pulls the next job from the
+//! shared injector, so a slow world never blocks the queue behind it
+//! and batches whose worlds vary in cost stay balanced.
 //!
 //! Each worker owns one [`Machine`] and recycles it between worlds
 //! with [`Machine::reset_for_seed`]; a worker only rebuilds its
 //! machine when a spec asks for a different [`MachineConfig`] (or
 //! after a world panicked, since a half-run machine is unsalvageable).
 //! Because every world runs through [`run_world_in`], the report for a
-//! given spec is bit-identical whichever worker picks it up — policy,
-//! order, and thread count can only change *when* a world runs, never
-//! *what* it computes.
+//! given spec is bit-identical whichever worker picks it up — order and
+//! thread count can only change *when* a world runs, never *what* it
+//! computes.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,7 +29,6 @@ use std::time::Instant;
 
 use simcell::{Machine, MachineConfig, SimError};
 
-use crate::cputime::thread_cpu_nanos;
 use crate::spec::{run_world_in, WorldOutput, WorldSpec};
 
 /// Receipt for a submitted world; reports come back in ticket order.
@@ -73,33 +63,13 @@ struct Job {
     spec: WorldSpec,
 }
 
-/// What a worker blocks on: the shared greedy injector or its own
-/// round-robin queue.
-enum JobSource {
-    Shared(Arc<Mutex<Receiver<Job>>>),
-    Own(Receiver<Job>),
-}
-
-impl JobSource {
-    fn next(&self) -> Option<Job> {
-        match self {
-            JobSource::Shared(shared) => shared
-                .lock()
-                .expect("a poisoned injector means a bug")
-                .recv()
-                .ok(),
-            JobSource::Own(queue) => queue.recv().ok(),
-        }
-    }
-}
-
 /// A fixed pool of OS threads executing [`WorldSpec`]s.
 ///
-/// See the crate docs for the model, the two distribution policies,
-/// and an example. Dropping the farm closes the injectors and joins
-/// every worker; undelivered reports are discarded.
+/// See the module docs for the model and the crate docs for an
+/// example. Dropping the farm closes the injector and joins every
+/// worker; undelivered reports are discarded.
 pub struct Farm {
-    injectors: Vec<Sender<Job>>,
+    injector: Sender<Job>,
     results: Receiver<(u64, WorldReport)>,
     workers: Vec<JoinHandle<()>>,
     busy_ns: Arc<Vec<AtomicU64>>,
@@ -110,66 +80,37 @@ pub struct Farm {
 
 impl Farm {
     /// Spins up `threads` workers pulling greedily from one shared
-    /// queue — the default policy; prefer it whenever world costs vary.
+    /// queue.
     ///
     /// # Errors
     ///
     /// Rejects a zero-thread farm.
     pub fn new(threads: usize) -> Result<Farm, SimError> {
-        Farm::build(threads, false)
-    }
-
-    /// Spins up `threads` workers with static round-robin
-    /// distribution: submission `k` runs on worker `k % threads`.
-    /// Deterministic per-worker assignment for uniform batches (the
-    /// scaling bench's policy — see the module docs).
-    ///
-    /// # Errors
-    ///
-    /// Rejects a zero-thread farm.
-    pub fn round_robin(threads: usize) -> Result<Farm, SimError> {
-        Farm::build(threads, true)
-    }
-
-    fn build(threads: usize, round_robin: bool) -> Result<Farm, SimError> {
         if threads == 0 {
             return Err(SimError::BadConfig {
                 reason: "a farm needs at least one worker thread".into(),
             });
         }
-        let mut injectors = Vec::new();
-        let mut sources = Vec::new();
-        if round_robin {
-            for _ in 0..threads {
-                let (tx, rx) = channel::<Job>();
-                injectors.push(tx);
-                sources.push(JobSource::Own(rx));
-            }
-        } else {
-            let (tx, rx) = channel::<Job>();
-            let shared = Arc::new(Mutex::new(rx));
-            injectors.push(tx);
-            for _ in 0..threads {
-                sources.push(JobSource::Shared(Arc::clone(&shared)));
-            }
-        }
+        let (injector, jobs) = channel::<Job>();
+        let jobs = Arc::new(Mutex::new(jobs));
         let (report_tx, results) = channel();
         let busy_ns: Arc<Vec<AtomicU64>> =
             Arc::new((0..threads).map(|_| AtomicU64::new(0)).collect());
         let mut workers = Vec::with_capacity(threads);
-        for (index, source) in sources.into_iter().enumerate() {
+        for index in 0..threads {
+            let jobs = Arc::clone(&jobs);
             let report_tx: Sender<(u64, WorldReport)> = report_tx.clone();
             let busy_ns = Arc::clone(&busy_ns);
             let handle = std::thread::Builder::new()
                 .name(format!("simfarm-{index}"))
-                .spawn(move || worker_loop(index, &source, &report_tx, &busy_ns[index]))
+                .spawn(move || worker_loop(index, &jobs, &report_tx, &busy_ns[index]))
                 .map_err(|e| SimError::BadConfig {
                     reason: format!("failed to spawn farm worker: {e}"),
                 })?;
             workers.push(handle);
         }
         Ok(Farm {
-            injectors,
+            injector,
             results,
             workers,
             busy_ns,
@@ -193,8 +134,7 @@ impl Farm {
     pub fn submit(&mut self, spec: WorldSpec) -> Ticket {
         let ticket = self.next_ticket;
         self.next_ticket += 1;
-        let lane = ticket as usize % self.injectors.len();
-        self.injectors[lane]
+        self.injector
             .send(Job { ticket, spec })
             .expect("workers outlive the farm handle");
         Ticket(ticket)
@@ -228,11 +168,10 @@ impl Farm {
         reports
     }
 
-    /// Cumulative CPU nanoseconds each worker has spent *executing
-    /// worlds* (queue idling excluded), indexed by worker. Falls back
-    /// to wall-clock deltas on platforms without per-thread CPU
-    /// counters. This is the ingredient of the farm bench's
-    /// critical-path scaling metric — see [`crate::cputime`].
+    /// Cumulative wall-clock nanoseconds each worker has spent
+    /// *running worlds*, indexed by worker. Time blocked on the
+    /// injector waiting for a job is excluded, so with one worker the
+    /// sum never exceeds the batch's wall time.
     pub fn worker_busy_nanos(&self) -> Vec<u64> {
         self.busy_ns
             .iter()
@@ -243,8 +182,9 @@ impl Farm {
 
 impl Drop for Farm {
     fn drop(&mut self) {
-        // Closing the injectors ends every worker's recv loop.
-        self.injectors.clear();
+        // Swapping in a dead sender closes the injector, which ends
+        // every worker's recv loop.
+        self.injector = channel().0;
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -253,7 +193,7 @@ impl Drop for Farm {
 
 fn worker_loop(
     index: usize,
-    jobs: &JobSource,
+    jobs: &Mutex<Receiver<Job>>,
     reports: &Sender<(u64, WorldReport)>,
     busy_ns: &AtomicU64,
 ) {
@@ -261,17 +201,13 @@ fn worker_loop(
     let mut slot: Option<Machine> = None;
     let mut slot_config: Option<MachineConfig> = None;
     loop {
-        let Some(job) = jobs.next() else {
+        let next = jobs.lock().expect("a poisoned injector means a bug").recv();
+        let Ok(job) = next else {
             return; // farm dropped; drain out
         };
-        let cpu_before = thread_cpu_nanos();
-        let wall_before = Instant::now();
+        let started = Instant::now();
         let outcome = run_job(&mut slot, &mut slot_config, &job.spec);
-        let spent = match (cpu_before, thread_cpu_nanos()) {
-            (Some(before), Some(after)) => after.saturating_sub(before),
-            _ => wall_before.elapsed().as_nanos() as u64,
-        };
-        busy_ns.fetch_add(spent, Ordering::Relaxed);
+        busy_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         let report = WorldReport {
             ticket: Ticket(job.ticket),
             seed: job.spec.seed,
@@ -318,6 +254,7 @@ fn run_job(
 mod tests {
     use super::*;
     use crate::spec::run_world;
+    use std::time::Duration;
 
     #[test]
     fn farm_reports_come_back_in_submission_order() {
@@ -378,20 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_assignment_is_deterministic_and_bit_identical() {
-        let mut farm = Farm::round_robin(2).unwrap();
-        for seed in 0..6 {
-            farm.submit(WorldSpec::quick(seed * 3));
-        }
-        let reports = farm.collect();
-        for (i, report) in reports.iter().enumerate() {
-            assert_eq!(report.worker, i % 2);
-            let solo = run_world(&WorldSpec::quick(report.seed)).unwrap();
-            assert_eq!(report.outcome.as_ref().unwrap(), &solo);
-        }
-    }
-
-    #[test]
     fn workers_account_busy_time() {
         let mut farm = Farm::new(2).unwrap();
         for seed in 0..6 {
@@ -401,5 +324,21 @@ mod tests {
         let busy = farm.worker_busy_nanos();
         assert_eq!(busy.len(), 2);
         assert!(busy.iter().sum::<u64>() > 0);
+
+        // One worker runs its worlds one after another, each inside the
+        // span from the first submit to the last reap, so its busy time
+        // fits in that span. The pause before the batch leaves the
+        // worker blocked on the empty queue: a clock that counted that
+        // wait would overshoot the span.
+        let mut farm = Farm::new(1).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        let start = Instant::now();
+        for seed in 0..6 {
+            farm.submit(WorldSpec::quick(seed));
+        }
+        farm.collect();
+        let wall = start.elapsed().as_nanos() as u64;
+        let busy: u64 = farm.worker_busy_nanos().iter().sum();
+        assert!(busy > 0 && busy <= wall, "busy {busy} ns, wall {wall} ns");
     }
 }

@@ -19,6 +19,9 @@
 //!   compile-time assertion) and recycles it between worlds through
 //!   [`simcell::Machine::reset_for_seed`] — zero per-world allocation
 //!   churn once every worker has warmed up.
+//! - [`Farm::worker_busy_nanos`] reports the wall time each worker
+//!   spent running worlds, so a caller can split a batch's wall time
+//!   into world time and farm overhead.
 //! - [`run_world`] is the solo entry point. It shares the
 //!   [`run_world_in`] code path with the workers, so "farm output ==
 //!   solo output" is a structural guarantee, pinned by the CI
@@ -35,10 +38,8 @@
 //! assert_eq!(report.outcome.unwrap().world_hash, solo.world_hash);
 //! ```
 
-pub mod cputime;
 pub mod farm;
 pub mod spec;
 
-pub use cputime::thread_cpu_nanos;
 pub use farm::{Farm, Ticket, WorldReport};
 pub use spec::{run_world, run_world_in, WorldOutput, WorldProgram, WorldSpec};

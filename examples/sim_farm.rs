@@ -40,7 +40,7 @@ fn main() {
 
     let busy = farm.worker_busy_nanos();
     let total_ms: f64 = busy.iter().sum::<u64>() as f64 / 1e6;
-    println!("worker CPU time: {total_ms:.2} ms total across {WORKERS} workers");
+    println!("time running worlds: {total_ms:.2} ms total across {WORKERS} workers");
 
     // The invariant, demonstrated: a farm world equals its solo twin.
     let probe = &reports[reports.len() / 2];
