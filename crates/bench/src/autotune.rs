@@ -242,7 +242,7 @@ mod tests {
         let opts = tune_options();
         for kind in e07::CACHES {
             let (measured, _) = e07::measure(kind, "sequential", 256);
-            let modeled = model_cycles(&hand_choice(kind), &trace, &opts);
+            let modeled = model_cycles(&hand_choice(kind), &trace, &opts).expect("trace is valid");
             assert_eq!(modeled, measured, "model drifted for {kind}");
         }
     }

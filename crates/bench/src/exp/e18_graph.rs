@@ -13,9 +13,12 @@
 //! - **naive**: one synchronous outer read per row offset and per edge
 //!   — the pointer-chasing worst case;
 //! - **tuned**: the same per-element loop behind the autotuned software
-//!   cache, where the tuner runs with reuse-distance pruning
-//!   ([`softcache::TuneOptions::reuse_prune`]) because the captured
-//!   trace has no dominant stride to prefetch along;
+//!   cache. The tuner runs with reuse-distance pruning
+//!   ([`softcache::TuneOptions::reuse_prune`]) switched on, but the
+//!   pruning never fires here: consecutive CSR column reads give the
+//!   captured trace a dominant +4 B stride
+//!   ([`softcache::dominant_stride`] returns `Some(4)`), so the winner
+//!   comes from the full 31-candidate grid;
 //! - **gather**: per BFS level, one coalesced
 //!   [`GatherPlan`](simcell::GatherPlan) batch for the frontier's
 //!   row-offset pairs and one for its neighbour runs
@@ -29,7 +32,7 @@
 
 use gamekit::graph::{run_bfs, run_components, GraphAccess, InteractionGraph};
 use simcell::{Machine, MachineConfig};
-use softcache::{autotune, CacheChoice, TuneOptions};
+use softcache::{autotune, AccessRecord, CacheChoice, TuneOptions};
 
 use crate::table::{cycles, speedup, Table};
 
@@ -74,22 +77,32 @@ pub fn measure(quick: bool, access: &GraphAccess) -> (u64, u64, u64) {
     )
 }
 
-/// Captures the naive traversal's access trace and autotunes a cache
-/// for it, with reuse-distance pruning enabled (the trace is
-/// irregular). Returns the winning choice.
-pub fn tune(quick: bool) -> CacheChoice {
+/// The tuner options E18 searches with: the defaults plus
+/// reuse-distance pruning, which its strided trace never triggers (see
+/// the module docs).
+pub fn tune_options() -> TuneOptions {
+    TuneOptions {
+        reuse_prune: true,
+        ..TuneOptions::default()
+    }
+}
+
+/// Captures the access trace of the naive traversal (BFS, then
+/// connected components) on a fresh world.
+pub fn capture_trace(quick: bool) -> Vec<AccessRecord> {
     let (mut machine, graph, out) = world(quick);
     let nodes = graph.nodes();
     let comp_out = out.element(nodes, 4).expect("in range");
     machine.access_trace_mut().set_enabled(true);
     run_bfs(&mut machine, &graph, SOURCE, out, &GraphAccess::Naive).expect("traversal fits");
     run_components(&mut machine, &graph, comp_out, &GraphAccess::Naive).expect("traversal fits");
-    let opts = TuneOptions {
-        reuse_prune: true,
-        ..TuneOptions::default()
-    };
-    let records = machine.access_trace().records().to_vec();
-    autotune(&records, &opts)
+    machine.access_trace().records().to_vec()
+}
+
+/// Autotunes a cache for the naive traversal's access trace under
+/// [`tune_options`]. Returns the winning choice.
+pub fn tune(quick: bool) -> CacheChoice {
+    autotune(&capture_trace(quick), &tune_options())
         .expect("search space is valid")
         .winner()
         .choice

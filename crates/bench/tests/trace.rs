@@ -7,7 +7,7 @@
 //! exported JSON itself is pinned byte for byte against the golden
 //! files in `tests/golden/traces/`.
 
-use std::path::PathBuf;
+mod common;
 
 use bench::profile::{
     traced_e2_frame, traced_e2_frame_cycles, traced_fault_frame, traced_pipe_frame,
@@ -113,36 +113,6 @@ fn transfer_capture() -> Machine {
     machine
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden/traces")
-        .join(name)
-}
-
-/// Compares `actual` with the golden trace `name` byte for byte; on a
-/// mismatch the panic names the file and its first differing line.
-fn assert_matches_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read golden trace {}: {e}", path.display()));
-    if expected == actual {
-        return;
-    }
-    let (mut want, mut got) = (expected.lines(), actual.lines());
-    let mut line = 1;
-    loop {
-        match (want.next(), got.next()) {
-            (Some(w), Some(g)) if w == g => line += 1,
-            (w, g) => panic!(
-                "{} differs from the rebuilt trace at line {line}:\n  golden:  {}\n  rebuilt: {}",
-                path.display(),
-                w.unwrap_or("<end of file>"),
-                g.unwrap_or("<end of file>"),
-            ),
-        }
-    }
-}
-
 /// The four files `paper_tables --trace e2.json` writes, plus the
 /// transfer-family capture, rebuilt in-process and compared with the
 /// committed goldens: any change to what a transfer records, when, or
@@ -157,7 +127,10 @@ fn trace_json_matches_the_golden_files() {
         ("transfers.json", transfer_capture()),
     ];
     for (name, machine) in &traces {
-        assert_matches_golden(name, &chrome_trace_json(machine.events()));
+        common::assert_matches_golden(
+            &format!("traces/{name}"),
+            &chrome_trace_json(machine.events()),
+        );
     }
 }
 

@@ -307,7 +307,12 @@ impl ReuseHistogram {
                 TraceOp::Compute { .. } => continue,
             };
             let first = offset / line_size;
-            let last = (offset + len - 1) / line_size;
+            // The line of the last byte, with the end clamped to the
+            // 32-bit address space; an empty access at offset 0 has none.
+            let Some(last_byte) = offset.saturating_add(len).checked_sub(1) else {
+                continue;
+            };
+            let last = last_byte / line_size;
             for line in first..=last {
                 touches += 1;
                 match stack.iter().position(|&l| l == line) {
@@ -369,29 +374,61 @@ impl ReuseHistogram {
 /// irregular workloads (graph frontiers, hash probes) report `None`,
 /// which is what flips [`autotune`] from stride thinking to the
 /// reuse-distance histogram when [`TuneOptions::reuse_prune`] is set.
+/// A zero delta (the same offset again) is never a stride.
+///
+/// Linear time: a two-counter majority vote keeps every delta that
+/// could account for more than a third of all deltas, and one more pass
+/// counts those candidates exactly. When two deltas each account for
+/// exactly half, the smaller magnitude wins.
 pub fn dominant_stride(records: &[AccessRecord]) -> Option<u32> {
-    let offsets: Vec<i64> = records
-        .iter()
-        .filter_map(|r| match r.op {
-            TraceOp::Read { offset, .. } | TraceOp::Write { offset, .. } => Some(i64::from(offset)),
-            TraceOp::Compute { .. } => None,
-        })
-        .collect();
-    if offsets.len() < 2 {
-        return None;
-    }
-    let mut counts: std::collections::BTreeMap<i64, usize> = std::collections::BTreeMap::new();
-    for pair in offsets.windows(2) {
-        *counts.entry(pair[1] - pair[0]).or_insert(0) += 1;
-    }
-    let (delta, count) = counts
+    let mut votes = [(0i64, 0usize); 2];
+    let mut deltas = 0usize;
+    for_each_delta(records, |delta| {
+        deltas += 1;
+        if let Some(vote) = votes.iter_mut().find(|v| v.1 > 0 && v.0 == delta) {
+            vote.1 += 1;
+        } else if let Some(vote) = votes.iter_mut().find(|v| v.1 == 0) {
+            *vote = (delta, 1);
+        } else {
+            for vote in &mut votes {
+                vote.1 -= 1;
+            }
+        }
+    });
+    // A slot the vote emptied still names a delta; counting it too is
+    // harmless, because only exact counts decide.
+    let mut counts = votes.map(|(delta, _)| (delta, 0usize));
+    for_each_delta(records, |delta| {
+        for (candidate, count) in &mut counts {
+            if *candidate == delta {
+                *count += 1;
+            }
+        }
+    });
+    let (delta, _) = counts
         .into_iter()
-        .max_by_key(|&(delta, count)| (count, std::cmp::Reverse(delta.unsigned_abs())))
-        .expect("at least one delta");
-    if delta != 0 && count * 2 >= offsets.len() - 1 {
-        u32::try_from(delta.unsigned_abs()).ok()
-    } else {
+        .filter(|&(_, count)| count * 2 >= deltas)
+        .max_by_key(|&(delta, count)| (count, std::cmp::Reverse(delta.unsigned_abs())))?;
+    if delta == 0 {
         None
+    } else {
+        u32::try_from(delta.unsigned_abs()).ok()
+    }
+}
+
+/// Calls `f` with the delta between each pair of consecutive transfer
+/// offsets in `records`.
+fn for_each_delta(records: &[AccessRecord], mut f: impl FnMut(i64)) {
+    let mut previous: Option<i64> = None;
+    for rec in records {
+        let offset = match rec.op {
+            TraceOp::Read { offset, .. } | TraceOp::Write { offset, .. } => i64::from(offset),
+            TraceOp::Compute { .. } => continue,
+        };
+        if let Some(previous) = previous {
+            f(offset - previous);
+        }
+        previous = Some(offset);
     }
 }
 
@@ -564,8 +601,9 @@ pub struct TuneOptions {
     /// traces with no [`dominant_stride`]: streaming candidates are
     /// dropped and capacities past the reuse working set are skipped
     /// (see [`ReuseHistogram`]). Off by default so strided workloads
-    /// and existing tuning gates are untouched; irregular workloads
-    /// (E18's graph frontier) switch it on.
+    /// and existing tuning gates are untouched. E18's graph traversal
+    /// switches it on, but its trace has a dominant +4 B stride
+    /// (consecutive CSR column reads), so nothing is pruned there.
     pub reuse_prune: bool,
 }
 
@@ -594,11 +632,16 @@ impl TuneOptions {
     /// (write-through variants only appear for traces with writes).
     /// Always returns at least one choice.
     pub fn candidates(&self, records: &[AccessRecord]) -> Vec<CacheChoice> {
+        self.grid(has_writes(records))
+    }
+
+    /// [`TuneOptions::candidates`] for a trace that does or does not
+    /// write.
+    fn grid(&self, writes: bool) -> Vec<CacheChoice> {
         let mut out = Vec::new();
         if self.include_naive {
             out.push(CacheChoice::Naive);
         }
-        let writes = has_writes(records);
         for &cap in &self.capacities {
             if cap > self.ls_budget {
                 continue;
@@ -608,10 +651,13 @@ impl TuneOptions {
                     continue;
                 }
                 for &ways in &self.ways {
-                    if ways == 0 || !cap.is_multiple_of(line * ways) {
+                    let Some(set_bytes) = line.checked_mul(ways) else {
+                        continue;
+                    };
+                    if set_bytes == 0 || !cap.is_multiple_of(set_bytes) {
                         continue;
                     }
-                    let sets = cap / (line * ways);
+                    let sets = cap / set_bytes;
                     if sets == 0 || !sets.is_power_of_two() {
                         continue;
                     }
@@ -629,7 +675,8 @@ impl TuneOptions {
             if !line.is_power_of_two() || line < DMA_ALIGN {
                 continue;
             }
-            if 2 * line + DMA_ALIGN > self.ls_budget {
+            let buffers = line.checked_mul(2).and_then(|b| b.checked_add(DMA_ALIGN));
+            if buffers.is_none_or(|bytes| bytes > self.ls_budget) {
                 continue;
             }
             out.push(CacheChoice::Stream(CacheConfig::new(line, 1, 1)));
@@ -643,9 +690,219 @@ impl TuneOptions {
     fn ls_cycles(&self, bytes: u32) -> u64 {
         self.ls_access_cost * u64::from(bytes.div_ceil(16).max(1))
     }
+}
 
-    fn effective_capacity(&self, records: &[AccessRecord]) -> u32 {
-        self.main_capacity.max(max_extent(records))
+// ---- the decode pass -----------------------------------------------------
+
+fn untunable(reason: &'static str) -> CacheError {
+    CacheError::Untunable { reason }
+}
+
+/// What the models and replays need to know about a trace, read in one
+/// pass: the main memory a replay runs against, the longest transfer,
+/// whether the trace writes, and the totals that bound every replay's
+/// clock ([`TraceFacts::check`]).
+#[derive(Debug)]
+struct TraceFacts {
+    /// The configured main-memory capacity, grown to cover every
+    /// transfer.
+    capacity: u32,
+    /// Length of the longest transfer, in bytes.
+    max_len: u32,
+    /// Whether the trace contains a write.
+    writes: bool,
+    /// Number of read and write records.
+    accesses: u128,
+    /// Bytes over all reads and writes.
+    bytes: u128,
+    /// Cycles over all compute records.
+    compute: u128,
+}
+
+impl TraceFacts {
+    /// Reads `records` once and checks what every replay under `opts`
+    /// relies on: a non-empty staging buffer, transfers that end inside
+    /// the 32-bit address space, and a main memory of non-zero size.
+    fn decode(records: &[AccessRecord], opts: &TuneOptions) -> Result<TraceFacts, CacheError> {
+        if opts.staging_size == 0 {
+            return Err(untunable("the naive path's staging buffer is empty"));
+        }
+        let mut facts = TraceFacts {
+            capacity: 0,
+            max_len: 0,
+            writes: false,
+            accesses: 0,
+            bytes: 0,
+            compute: 0,
+        };
+        let mut extent = 0u32;
+        for rec in records {
+            let (offset, len) = match rec.op {
+                TraceOp::Read { offset, len } => (offset, len),
+                TraceOp::Write { offset, len } => {
+                    facts.writes = true;
+                    (offset, len)
+                }
+                TraceOp::Compute { cycles } => {
+                    facts.compute += u128::from(cycles);
+                    continue;
+                }
+            };
+            let end = offset
+                .checked_add(len)
+                .ok_or(untunable("a transfer ends past the 32-bit address space"))?;
+            extent = extent.max(end);
+            facts.max_len = facts.max_len.max(len);
+            facts.accesses += 1;
+            facts.bytes += u128::from(len);
+        }
+        facts.capacity = opts.main_capacity.max(extent);
+        if facts.capacity == 0 {
+            return Err(untunable("no main memory: zero capacity and no transfers"));
+        }
+        Ok(facts)
+    }
+
+    /// Checks that `choice` can be modelled and replayed over the trace:
+    /// a cache's geometry must be indexable, and no clock in the model
+    /// or the exact replay may pass `u64::MAX`, so none of their adds
+    /// can overflow.
+    ///
+    /// Every cycle a replay charges comes from a compute record, from a
+    /// chunk's lookup and copy work, or from a DMA transfer, at most
+    /// three per chunk (write-back, fetch and write-through put; or
+    /// fetch and prefetch). A transfer adds at most its issue, setup,
+    /// streaming, misalignment and latency cycles to any clock, and a
+    /// record of `len` bytes splits into at most `len / granule + 2`
+    /// chunks. The clock check is that the sum of these maxima fits.
+    fn check(&self, choice: &CacheChoice, opts: &TuneOptions) -> Result<(), CacheError> {
+        if let Some(config) = choice.config() {
+            config.validate()?;
+        }
+        let (granule, largest, chunk_cycles) = match choice {
+            CacheChoice::Naive => {
+                let staging = opts.staging_size;
+                let ls = u128::from(opts.ls_access_cost) * u128::from(staging / 16 + 1);
+                (staging, staging, ls)
+            }
+            CacheChoice::SetAssoc(c) | CacheChoice::Stream(c) => {
+                let lookup = u128::from(c.lookup_cost)
+                    + u128::from(c.probe_cost) * u128::from(c.ways.max(2));
+                let copy = u128::from(c.copy_cost) * u128::from(c.line_size / 16 + 1);
+                (c.line_size.min(16), c.line_size.max(16), lookup + copy)
+            }
+        };
+        let dma = &opts.dma;
+        let transfer = u128::from(dma.issue_cost)
+            + u128::from(dma.setup)
+            + u128::from(largest).div_ceil(u128::from(dma.bytes_per_cycle.max(1)))
+            + u128::from(dma.misalign_penalty)
+            + u128::from(dma.latency);
+        let chunks = self.bytes / u128::from(granule.max(1)) + 2 * self.accesses;
+        let bound = chunks
+            .saturating_mul(3 * transfer + chunk_cycles)
+            .saturating_add(self.compute);
+        if bound > u128::from(u64::MAX) {
+            Err(untunable("cycle counts could overflow a 64-bit clock"))
+        } else {
+            Ok(())
+        }
+    }
+}
+
+// ---- the trace as same-line runs ------------------------------------------
+
+/// Consecutive read touches of one line with only compute between them.
+/// The first touch goes through the cache's lookup; the others hit the
+/// slot it left the line in.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    /// Compute cycles before the first touch.
+    pre: u64,
+    /// The line touched.
+    line: u32,
+    /// Number of touches (at least 1).
+    touches: u64,
+    /// 16-byte copy units over all touches (each touch counts at least
+    /// one), so the copy charge is `copy_cost * units`.
+    units: u64,
+    /// Compute cycles between the run's touches.
+    between: u64,
+}
+
+/// One step of a compressed trace.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// A read run.
+    Read(Run),
+    /// A write, after `pre` compute cycles.
+    Write { pre: u64, offset: u32, len: u32 },
+}
+
+/// A trace compressed at one line size for the cache models: read runs
+/// and single writes in trace order, then the trailing compute.
+/// Zero-length transfers do nothing in any cache, so they are dropped.
+#[derive(Debug, Default)]
+struct Steps {
+    steps: Vec<Step>,
+    tail: u64,
+}
+
+impl Steps {
+    /// Replaces the contents with `records` compressed at `line_size`
+    /// (a power of two), reusing the allocation.
+    fn compress(&mut self, records: &[AccessRecord], line_size: u32) {
+        let shift = line_size.trailing_zeros();
+        self.steps.clear();
+        let mut open: Option<Run> = None;
+        let mut compute = 0u64;
+        for rec in records {
+            match rec.op {
+                TraceOp::Compute { cycles } => compute += cycles,
+                TraceOp::Read { offset, len } => {
+                    let mut done = 0u32;
+                    while done < len {
+                        let abs = offset + done;
+                        let line = abs >> shift;
+                        let chunk = (line_size - (abs & (line_size - 1))).min(len - done);
+                        let units = u64::from(chunk.div_ceil(16).max(1));
+                        match &mut open {
+                            Some(run) if run.line == line => {
+                                run.touches += 1;
+                                run.units += units;
+                                run.between += compute;
+                            }
+                            _ => {
+                                self.steps.extend(open.map(Step::Read));
+                                open = Some(Run {
+                                    pre: compute,
+                                    line,
+                                    touches: 1,
+                                    units,
+                                    between: 0,
+                                });
+                            }
+                        }
+                        compute = 0;
+                        done += chunk;
+                    }
+                }
+                TraceOp::Write { offset, len } => {
+                    if len == 0 {
+                        continue;
+                    }
+                    self.steps.extend(open.take().map(Step::Read));
+                    self.steps.push(Step::Write {
+                        pre: compute,
+                        offset,
+                        len,
+                    });
+                    compute = 0;
+                }
+            }
+        }
+        self.steps.extend(open.map(Step::Read));
+        self.tail = compute;
     }
 }
 
@@ -666,8 +923,7 @@ impl ModelDma {
 
     /// Issues a non-blocking transfer; returns `(resume, complete_at)`.
     fn issue(&mut self, now: u64, bytes: u32) -> (u64, u64) {
-        let bw = self.timing.bytes_per_cycle.max(1);
-        let stream = self.timing.setup + u64::from(bytes).div_ceil(bw);
+        let stream = self.timing.stream_cycles_aligned(bytes, true);
         let start = now.max(self.free_at);
         self.free_at = start + stream;
         (
@@ -683,11 +939,51 @@ impl ModelDma {
     }
 }
 
+/// A cache model that steps through a compressed trace.
+trait StepModel {
+    /// Models a read run whose first touch starts at `now`; returns the
+    /// cycle its last touch ends, counting the compute between touches.
+    fn read_run(&mut self, now: u64, run: &Run, capacity: u32, dma: &mut ModelDma) -> u64;
+
+    /// Models a write starting at `now`.
+    fn write(&mut self, now: u64, offset: u32, len: u32, capacity: u32, dma: &mut ModelDma) -> u64;
+}
+
+/// Total cycles of `model` over `steps`, from cycle 0 on an idle
+/// channel.
+fn walk(model: &mut impl StepModel, steps: &Steps, capacity: u32, timing: DmaTiming) -> u64 {
+    let mut dma = ModelDma::new(timing);
+    let mut t = 0u64;
+    for step in &steps.steps {
+        t = match *step {
+            Step::Read(ref run) => model.read_run(t + run.pre, run, capacity, &mut dma),
+            Step::Write { pre, offset, len } => {
+                model.write(t + pre, offset, len, capacity, &mut dma)
+            }
+        };
+    }
+    t + steps.tail
+}
+
+/// One slot of [`SetAssocModel`].
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    valid: bool,
+    dirty: bool,
+    line: u32,
+    len: u32,
+    last_use: u64,
+}
+
 /// Metadata replica of [`SetAssociativeCache`]: same LRU, same victim
 /// choice, same write-through pipelining — minus the data movement.
 struct SetAssocModel {
     config: CacheConfig,
-    lines: Vec<(bool, bool, u32, u32, u64)>, // (valid, dirty, line, len, last_use)
+    /// `log2(line_size)`, as in [`SetAssociativeCache`].
+    line_shift: u32,
+    /// `num_sets - 1`.
+    set_mask: u32,
+    slots: Vec<Slot>,
     lru_clock: u64,
     wt_pending: Vec<(u32, u32)>, // (remote start, len)
     wt_done_at: u64,
@@ -697,72 +993,81 @@ impl SetAssocModel {
     fn new(config: CacheConfig) -> SetAssocModel {
         SetAssocModel {
             config,
-            lines: vec![(false, false, 0, 0, 0); (config.num_sets * config.ways) as usize],
+            line_shift: config.line_size.trailing_zeros(),
+            set_mask: config.num_sets - 1,
+            slots: vec![Slot::default(); (config.num_sets * config.ways) as usize],
             lru_clock: 0,
             wt_pending: Vec::new(),
             wt_done_at: 0,
         }
     }
 
-    fn slot(&self, set: u32, way: u32) -> usize {
-        (set * self.config.ways + way) as usize
-    }
-
-    fn ensure_line(&mut self, now: u64, line: u32, capacity: u32, dma: &mut ModelDma) -> u64 {
-        let set = self.config.set_of(line);
+    /// Makes `line` resident; returns the cycle it is ready, its slot
+    /// index and its way.
+    fn ensure_line(
+        &mut self,
+        now: u64,
+        line: u32,
+        capacity: u32,
+        dma: &mut ModelDma,
+    ) -> (u64, usize, u32) {
+        let ways = self.config.ways;
+        let base = ((line & self.set_mask) * ways) as usize;
         self.lru_clock += 1;
         let clock = self.lru_clock;
-        for way in 0..self.config.ways {
-            let slot = self.slot(set, way);
-            if self.lines[slot].0 && self.lines[slot].2 == line {
-                self.lines[slot].4 = clock;
-                return now + self.config.lookup_cycles(way + 1);
+        for way in 0..ways {
+            let slot = &mut self.slots[base + way as usize];
+            if slot.valid && slot.line == line {
+                slot.last_use = clock;
+                return (
+                    now + self.config.lookup_cycles(way + 1),
+                    base + way as usize,
+                    way,
+                );
             }
         }
-        let mut t = now + self.config.lookup_cycles(self.config.ways);
-        let victim = (0..self.config.ways)
+        let mut t = now + self.config.lookup_cycles(ways);
+        let victim = (0..ways)
             .min_by_key(|&way| {
-                let meta = self.lines[self.slot(set, way)];
-                (meta.0, meta.4)
+                let slot = self.slots[base + way as usize];
+                (slot.valid, slot.last_use)
             })
             .expect("ways >= 1");
-        let slot = self.slot(set, victim);
+        let index = base + victim as usize;
         if !self.wt_pending.is_empty() {
             self.wt_pending.clear();
             t = t.max(self.wt_done_at);
         }
-        let (valid, dirty, _, evicted_len, _) = self.lines[slot];
-        if valid && dirty {
-            t = dma.round_trip(t, evicted_len);
+        let evicted = self.slots[index];
+        if evicted.valid && evicted.dirty {
+            t = dma.round_trip(t, evicted.len);
         }
-        let line_start = line * self.config.line_size;
+        let line_start = line << self.line_shift;
         let len = self
             .config
             .line_size
             .min(capacity.saturating_sub(line_start));
         t = dma.round_trip(t, len);
-        self.lines[slot] = (true, false, line, len, clock);
-        t
+        self.slots[index] = Slot {
+            valid: true,
+            dirty: false,
+            line,
+            len,
+            last_use: clock,
+        };
+        (t, index, victim)
     }
+}
 
-    fn read(
-        &mut self,
-        now: u64,
-        offset: u32,
-        total: u32,
-        capacity: u32,
-        dma: &mut ModelDma,
-    ) -> u64 {
-        let mut t = now;
-        let mut done = 0u32;
-        while done < total {
-            let (line, in_line) = self.config.split_offset(offset + done);
-            let chunk = (self.config.line_size - in_line).min(total - done);
-            t = self.ensure_line(t, line, capacity, dma);
-            t += self.config.copy_cycles(chunk);
-            done += chunk;
-        }
-        t
+impl StepModel for SetAssocModel {
+    fn read_run(&mut self, now: u64, run: &Run, capacity: u32, dma: &mut ModelDma) -> u64 {
+        // LRU order only compares last uses, and no other slot is used
+        // during the run, so the first touch's clock tick orders the
+        // slots as one tick per touch would.
+        let (t, _, way) = self.ensure_line(now, run.line, capacity, dma);
+        t + self.config.copy_cost * run.units
+            + (run.touches - 1) * self.config.lookup_cycles(way + 1)
+            + run.between
     }
 
     fn write(
@@ -773,25 +1078,16 @@ impl SetAssocModel {
         capacity: u32,
         dma: &mut ModelDma,
     ) -> u64 {
+        let line_size = self.config.line_size;
         let mut t = now;
         let mut done = 0u32;
         while done < total {
             let abs = offset + done;
-            let (line, in_line) = self.config.split_offset(abs);
-            let chunk = (self.config.line_size - in_line).min(total - done);
-            t = self.ensure_line(t, line, capacity, dma);
-            t += self.config.copy_cycles(chunk);
+            let chunk = (line_size - (abs & (line_size - 1))).min(total - done);
+            let (after, slot, _) = self.ensure_line(t, abs >> self.line_shift, capacity, dma);
+            t = after + self.config.copy_cycles(chunk);
             match self.config.write {
-                WritePolicy::WriteBack => {
-                    // ensure_line re-ran the probe; mark the resident slot.
-                    let set = self.config.set_of(line);
-                    for w in 0..self.config.ways {
-                        let slot = self.slot(set, w);
-                        if self.lines[slot].0 && self.lines[slot].2 == line {
-                            self.lines[slot].1 = true;
-                        }
-                    }
-                }
+                WritePolicy::WriteBack => self.slots[slot].dirty = true,
                 WritePolicy::WriteThrough => {
                     if self
                         .wt_pending
@@ -817,6 +1113,7 @@ impl SetAssocModel {
 /// plus the prefetch completion horizon.
 struct StreamModel {
     config: CacheConfig,
+    line_shift: u32,
     current: Option<(u32, u32)>,     // (line, len)
     prefetching: Option<(u32, u32)>, // (line, len)
     prefetch_done_at: u64,
@@ -826,6 +1123,7 @@ impl StreamModel {
     fn new(config: CacheConfig) -> StreamModel {
         StreamModel {
             config,
+            line_shift: config.line_size.trailing_zeros(),
             current: None,
             prefetching: None,
             prefetch_done_at: 0,
@@ -833,8 +1131,9 @@ impl StreamModel {
     }
 
     fn line_len(&self, line: u32, capacity: u32) -> u32 {
-        let start = line * self.config.line_size;
-        self.config.line_size.min(capacity.saturating_sub(start))
+        let start = u64::from(line) << self.line_shift;
+        let left = u64::from(capacity).saturating_sub(start);
+        self.config.line_size.min(left as u32)
     }
 
     fn issue_prefetch(&mut self, now: u64, line: u32, capacity: u32, dma: &mut ModelDma) -> u64 {
@@ -878,35 +1177,33 @@ impl StreamModel {
         self.current = Some((line, len));
         self.issue_prefetch(t, line + 1, capacity, dma)
     }
+}
 
-    fn read(
+impl StepModel for StreamModel {
+    fn read_run(&mut self, now: u64, run: &Run, capacity: u32, dma: &mut ModelDma) -> u64 {
+        // After the first touch the line is current: every other touch
+        // is a one-probe hit.
+        let t = self.ensure_line(now, run.line, capacity, dma);
+        t + self.config.copy_cost * run.units
+            + (run.touches - 1) * self.config.lookup_cycles(1)
+            + run.between
+    }
+
+    fn write(
         &mut self,
         now: u64,
         offset: u32,
         total: u32,
-        capacity: u32,
+        _capacity: u32,
         dma: &mut ModelDma,
     ) -> u64 {
-        let mut t = now;
-        let mut done = 0u32;
-        while done < total {
-            let (line, in_line) = self.config.split_offset(offset + done);
-            let chunk = (self.config.line_size - in_line).min(total - done);
-            t = self.ensure_line(t, line, capacity, dma);
-            t += self.config.copy_cycles(chunk);
-            done += chunk;
-        }
-        t
-    }
-
-    fn write(&mut self, now: u64, offset: u32, total: u32, dma: &mut ModelDma) -> u64 {
         let mut t = now;
         let mut done = 0u32;
         while done < total {
             let chunk = (total - done).min(DMA_ALIGN);
             let abs = offset + done;
             if let Some((pl, plen)) = self.prefetching {
-                let p_start = pl * self.config.line_size;
+                let p_start = pl << self.line_shift;
                 let p_end = p_start + plen;
                 if abs < p_end && p_start < abs + chunk {
                     t = self.cancel_prefetch(t);
@@ -919,74 +1216,93 @@ impl StreamModel {
     }
 }
 
+/// The naive path, per record: each transfer is chunked through the
+/// staging buffer, one blocking round trip and one local-store copy per
+/// chunk.
+fn model_naive(records: &[AccessRecord], opts: &TuneOptions) -> u64 {
+    let mut dma = ModelDma::new(opts.dma);
+    let mut t = 0u64;
+    for rec in records {
+        match rec.op {
+            TraceOp::Read { len, .. } => {
+                let mut done = 0u32;
+                while done < len {
+                    let chunk = (len - done).min(opts.staging_size);
+                    t = dma.round_trip(t, chunk);
+                    t += opts.ls_cycles(chunk);
+                    done += chunk;
+                }
+            }
+            TraceOp::Write { len, .. } => {
+                let mut done = 0u32;
+                while done < len {
+                    let chunk = (len - done).min(opts.staging_size);
+                    t += opts.ls_cycles(chunk);
+                    t = dma.round_trip(t, chunk);
+                    done += chunk;
+                }
+            }
+            TraceOp::Compute { cycles } => t += cycles,
+        }
+    }
+    t
+}
+
+/// Models `choice`: the naive path per record, a cache per step of
+/// `steps` (the trace compressed at the cache's line size).
+fn model_choice(
+    choice: &CacheChoice,
+    records: &[AccessRecord],
+    steps: &Steps,
+    capacity: u32,
+    opts: &TuneOptions,
+) -> u64 {
+    match *choice {
+        CacheChoice::Naive => model_naive(records, opts),
+        CacheChoice::SetAssoc(config) => {
+            walk(&mut SetAssocModel::new(config), steps, capacity, opts.dma)
+        }
+        CacheChoice::Stream(config) => {
+            walk(&mut StreamModel::new(config), steps, capacity, opts.dma)
+        }
+    }
+}
+
 /// Predicts the total cycles of replaying `records` under `choice`
 /// using the analytic model (no memory regions, no data movement).
 ///
 /// Bit-identical to [`replay_exact`] on DMA-aligned traces; within
 /// [`MODEL_ALIGNMENT_TOLERANCE`] (and never above the exact cost)
 /// otherwise.
-pub fn model_cycles(choice: &CacheChoice, records: &[AccessRecord], opts: &TuneOptions) -> u64 {
-    let capacity = opts.effective_capacity(records);
-    let mut dma = ModelDma::new(opts.dma);
-    let mut t = 0u64;
-    match choice {
-        CacheChoice::Naive => {
-            for rec in records {
-                match rec.op {
-                    TraceOp::Read { offset, len } => {
-                        let _ = offset;
-                        let mut done = 0u32;
-                        while done < len {
-                            let chunk = (len - done).min(opts.staging_size);
-                            t = dma.round_trip(t, chunk);
-                            t += opts.ls_cycles(chunk);
-                            done += chunk;
-                        }
-                    }
-                    TraceOp::Write { offset, len } => {
-                        let _ = offset;
-                        let mut done = 0u32;
-                        while done < len {
-                            let chunk = (len - done).min(opts.staging_size);
-                            t += opts.ls_cycles(chunk);
-                            t = dma.round_trip(t, chunk);
-                            done += chunk;
-                        }
-                    }
-                    TraceOp::Compute { cycles } => t += cycles,
-                }
-            }
-        }
-        CacheChoice::SetAssoc(config) => {
-            let mut model = SetAssocModel::new(*config);
-            for rec in records {
-                match rec.op {
-                    TraceOp::Read { offset, len } => {
-                        t = model.read(t, offset, len, capacity, &mut dma);
-                    }
-                    TraceOp::Write { offset, len } => {
-                        t = model.write(t, offset, len, capacity, &mut dma);
-                    }
-                    TraceOp::Compute { cycles } => t += cycles,
-                }
-            }
-        }
-        CacheChoice::Stream(config) => {
-            let mut model = StreamModel::new(*config);
-            for rec in records {
-                match rec.op {
-                    TraceOp::Read { offset, len } => {
-                        t = model.read(t, offset, len, capacity, &mut dma);
-                    }
-                    TraceOp::Write { offset, len } => {
-                        t = model.write(t, offset, len, &mut dma);
-                    }
-                    TraceOp::Compute { cycles } => t += cycles,
-                }
-            }
-        }
+///
+/// # Cost
+///
+/// One decode pass over `records`. For a cache, one more pass
+/// compresses the trace into runs of consecutive reads of one line, and
+/// the model then takes one step per run or write: the first touch of
+/// a run is a full lookup, the rest are same-slot hits charged in one
+/// sum. The naive path is modelled per record. On a trace of small
+/// sequential reads that is far fewer steps than records.
+///
+/// # Errors
+///
+/// Fails with [`CacheError::Untunable`] on input no replay can run (an
+/// empty staging buffer, no main memory, a transfer past the 32-bit
+/// address space, or costs that could overflow the clock), and with
+/// [`CacheError::BadGeometry`] on a cache configuration that cannot be
+/// indexed.
+pub fn model_cycles(
+    choice: &CacheChoice,
+    records: &[AccessRecord],
+    opts: &TuneOptions,
+) -> Result<u64, CacheError> {
+    let facts = TraceFacts::decode(records, opts)?;
+    facts.check(choice, opts)?;
+    let mut steps = Steps::default();
+    if let Some(config) = choice.config() {
+        steps.compress(records, config.line_size);
     }
-    t
+    Ok(model_choice(choice, records, &steps, facts.capacity, opts))
 }
 
 // ---- exact replay --------------------------------------------------------
@@ -1005,23 +1321,34 @@ const REPLAY_OUTER_TAG: u8 = 27;
 ///
 /// # Errors
 ///
-/// Fails if a candidate cache cannot be built (local store budget) or a
-/// replayed transfer is invalid.
+/// Fails with [`CacheError::Untunable`] on the input [`model_cycles`]
+/// rejects, and otherwise if a candidate cache cannot be built (local
+/// store budget) or a replayed transfer is invalid.
 pub fn replay_exact(
     choice: &CacheChoice,
     records: &[AccessRecord],
     opts: &TuneOptions,
 ) -> Result<u64, CacheError> {
-    let capacity = opts.effective_capacity(records);
-    let mut main = MemoryRegion::new(SpaceId::MAIN, SpaceKind::Main, capacity);
+    let facts = TraceFacts::decode(records, opts)?;
+    facts.check(choice, opts)?;
+    replay_decoded(choice, records, &facts, opts)
+}
+
+/// [`replay_exact`] of a trace already decoded into `facts`.
+fn replay_decoded(
+    choice: &CacheChoice,
+    records: &[AccessRecord],
+    facts: &TraceFacts,
+    opts: &TuneOptions,
+) -> Result<u64, CacheError> {
+    let mut main = MemoryRegion::new(SpaceId::MAIN, SpaceKind::Main, facts.capacity);
     let mut ls = MemoryRegion::new(
         SpaceId::local_store(0),
         SpaceKind::LocalStore { accel: 0 },
         LOCAL_STORE_SIZE,
     );
     let mut dma = DmaEngine::with_timing(SpaceId::local_store(0), opts.dma);
-    let max_len = records.iter().map(|r| r.op.len()).max().unwrap_or(0);
-    let mut buf = vec![0u8; max_len as usize];
+    let mut buf = vec![0u8; facts.max_len as usize];
 
     match choice {
         CacheChoice::Naive => replay_naive(records, opts, &mut main, &mut ls, &mut dma),
@@ -1159,26 +1486,64 @@ impl TuneReport {
 /// model, validates the top-k by exact simulated replay, and picks the
 /// exact-cycle minimum.
 ///
+/// # Cost
+///
+/// One decode pass over `records` (plus the two passes of
+/// [`dominant_stride`] when [`TuneOptions::reuse_prune`] is on). Then
+/// one compression pass per distinct line size among the candidates,
+/// each keeping only that line size's runs alive, and one pass over
+/// the runs per cache candidate ([`model_cycles`] has the details).
+/// The naive candidate is modelled per record. Last, `top_k` exact
+/// replays run every record through the real cache and DMA engine; on
+/// E18's full graph trace these four replays are about half of the
+/// search.
+///
 /// # Errors
 ///
-/// Fails if an exact replay fails (local-store budget, bad transfer).
+/// Fails on the input [`model_cycles`] rejects, or if an exact replay
+/// fails (local-store budget, bad transfer).
 pub fn autotune(records: &[AccessRecord], opts: &TuneOptions) -> Result<TuneReport, CacheError> {
-    let mut choices = opts.candidates(records);
+    let facts = TraceFacts::decode(records, opts)?;
+    let mut choices = opts.grid(facts.writes);
     if opts.reuse_prune && dominant_stride(records).is_none() {
         choices = prune_irregular(choices, records);
     }
+    for choice in &choices {
+        facts.check(choice, opts)?;
+    }
+    // The naive path needs no runs (line size `None`); each cache is
+    // modelled while its line size's runs are the ones alive.
+    let mut line_sizes: Vec<Option<u32>> = choices
+        .iter()
+        .map(|c| c.config().map(|config| config.line_size))
+        .collect();
+    line_sizes.sort_unstable();
+    line_sizes.dedup();
+    let mut modelled = vec![0u64; choices.len()];
+    let mut steps = Steps::default();
+    for line_size in line_sizes {
+        if let Some(line_size) = line_size {
+            steps.compress(records, line_size);
+        }
+        for (choice, cycles) in choices.iter().zip(&mut modelled) {
+            if choice.config().map(|config| config.line_size) == line_size {
+                *cycles = model_choice(choice, records, &steps, facts.capacity, opts);
+            }
+        }
+    }
     let mut candidates: Vec<Candidate> = choices
         .into_iter()
-        .map(|choice| Candidate {
+        .zip(modelled)
+        .map(|(choice, model_cycles)| Candidate {
             choice,
-            model_cycles: model_cycles(&choice, records, opts),
+            model_cycles,
             exact_cycles: None,
         })
         .collect();
     candidates.sort_by_key(|c| c.model_cycles);
     let k = opts.top_k.clamp(1, candidates.len());
     for candidate in &mut candidates[..k] {
-        candidate.exact_cycles = Some(replay_exact(&candidate.choice, records, opts)?);
+        candidate.exact_cycles = Some(replay_decoded(&candidate.choice, records, &facts, opts)?);
     }
     let winner = candidates[..k]
         .iter()
@@ -1258,7 +1623,7 @@ mod tests {
         }
         let opts = TuneOptions::default();
         for choice in families() {
-            let model = model_cycles(&choice, &trace, &opts);
+            let model = model_cycles(&choice, &trace, &opts).unwrap();
             let exact = replay_exact(&choice, &trace, &opts).unwrap();
             assert_eq!(model, exact, "model must be exact for {choice}");
         }
@@ -1279,7 +1644,7 @@ mod tests {
             .collect();
         let opts = TuneOptions::default();
         for choice in families() {
-            let model = model_cycles(&choice, &trace, &opts);
+            let model = model_cycles(&choice, &trace, &opts).unwrap();
             let exact = replay_exact(&choice, &trace, &opts).unwrap();
             assert!(model <= exact, "{choice}: model {model} > exact {exact}");
             let error = (exact - model) as f64 / exact.max(1) as f64;
@@ -1350,8 +1715,8 @@ mod tests {
     /// Replays `records` through the *real* set-associative cache and
     /// returns its measured miss count.
     fn real_misses(config: CacheConfig, records: &[AccessRecord], opts: &TuneOptions) -> u64 {
-        let capacity = opts.effective_capacity(records);
-        let mut main = MemoryRegion::new(SpaceId::MAIN, SpaceKind::Main, capacity);
+        let facts = TraceFacts::decode(records, opts).unwrap();
+        let mut main = MemoryRegion::new(SpaceId::MAIN, SpaceKind::Main, facts.capacity);
         let mut ls = MemoryRegion::new(
             SpaceId::local_store(0),
             SpaceKind::LocalStore { accel: 0 },
@@ -1359,8 +1724,7 @@ mod tests {
         );
         let mut dma = DmaEngine::with_timing(SpaceId::local_store(0), opts.dma);
         let mut cache = SetAssociativeCache::new(config, SpaceId::MAIN, &mut ls).unwrap();
-        let max_len = records.iter().map(|r| r.op.len()).max().unwrap_or(0);
-        let mut buf = vec![0u8; max_len as usize];
+        let mut buf = vec![0u8; facts.max_len as usize];
         replay_cached(&mut cache, records, &mut main, &mut ls, &mut dma, &mut buf).unwrap();
         cache.stats().misses
     }
@@ -1449,6 +1813,88 @@ mod tests {
         assert_eq!(dominant_stride(&sequential_trace(128, 48, 16)), Some(48));
         assert_eq!(dominant_stride(&irregular_trace(3, 400)), None);
         assert_eq!(dominant_stride(&[]), None);
+    }
+
+    /// The stride rule as a frequency table: the most frequent delta,
+    /// ties to the smaller magnitude, taken when it covers at least half
+    /// of all deltas and is not zero.
+    fn stride_by_table(records: &[AccessRecord]) -> Option<u32> {
+        let mut counts = std::collections::BTreeMap::new();
+        let mut deltas = 0usize;
+        for_each_delta(records, |delta| {
+            *counts.entry(delta).or_insert(0usize) += 1;
+            deltas += 1;
+        });
+        let (delta, count) = counts
+            .into_iter()
+            .max_by_key(|&(delta, count)| (count, std::cmp::Reverse(delta.unsigned_abs())))?;
+        if delta != 0 && count * 2 >= deltas {
+            u32::try_from(delta.unsigned_abs()).ok()
+        } else {
+            None
+        }
+    }
+
+    #[test]
+    fn linear_stride_matches_the_frequency_table() {
+        let trace = |offsets: &[u32]| -> Vec<AccessRecord> {
+            offsets
+                .iter()
+                .flat_map(|&offset| {
+                    [
+                        AccessRecord {
+                            span: 0,
+                            op: TraceOp::Read { offset, len: 4 },
+                        },
+                        AccessRecord {
+                            span: 0,
+                            op: TraceOp::Compute { cycles: 3 },
+                        },
+                    ]
+                })
+                .collect()
+        };
+        // Exact-half ties: +4/-4 (same magnitude), 0/+4 (zero is the
+        // smaller magnitude, so no stride), +8/+4 (the smaller wins).
+        let crafted: [&[u32]; 8] = [
+            &[0, 4, 8, 4, 0],
+            &[0, 0, 0, 4, 8],
+            &[0, 8, 16, 20, 24],
+            &[0, 4, 8, 100, 104, 108],
+            &[0, 4, 9, 20, 13],
+            &[5],
+            &[],
+            &[7, 7],
+        ];
+        for offsets in crafted {
+            let records = trace(offsets);
+            assert_eq!(
+                dominant_stride(&records),
+                stride_by_table(&records),
+                "{offsets:?}"
+            );
+        }
+        // Short walks over a five-delta alphabet make exact-half ties and
+        // near-majorities common.
+        let mut rng = xrng::Rng::new(0x57_21DE);
+        for round in 0..400 {
+            let mut offset = 1u32 << 20;
+            let offsets: Vec<u32> = (0..rng.below_u32(14))
+                .map(|_| {
+                    offset = offset.wrapping_add(
+                        [0, 4, 8, 4u32.wrapping_neg(), 8u32.wrapping_neg()]
+                            [rng.below_u32(5) as usize],
+                    );
+                    offset
+                })
+                .collect();
+            let records = trace(&offsets);
+            assert_eq!(
+                dominant_stride(&records),
+                stride_by_table(&records),
+                "round {round}: {offsets:?}"
+            );
+        }
     }
 
     #[test]

@@ -97,6 +97,14 @@ pub enum CacheError {
         /// Associativity.
         ways: u32,
     },
+    /// The autotuner cannot model or replay a trace under these
+    /// options: an empty staging buffer, no main memory to replay
+    /// against, a transfer that ends past the 32-bit address space, or
+    /// costs so large that a replay's clock could pass `u64::MAX`.
+    Untunable {
+        /// What is wrong with the trace or the options.
+        reason: &'static str,
+    },
 }
 
 impl std::fmt::Display for CacheError {
@@ -117,6 +125,7 @@ impl std::fmt::Display for CacheError {
                  line size and set count must be powers of two, ways at least 1, \
                  and the capacity must fit in 32 bits"
             ),
+            CacheError::Untunable { reason } => write!(f, "cannot tune: {reason}"),
         }
     }
 }
@@ -124,7 +133,9 @@ impl std::fmt::Display for CacheError {
 impl std::error::Error for CacheError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CacheError::NotCacheable { .. } | CacheError::BadGeometry { .. } => None,
+            CacheError::NotCacheable { .. }
+            | CacheError::BadGeometry { .. }
+            | CacheError::Untunable { .. } => None,
             CacheError::Dma(err) => Some(err),
             CacheError::Memory(err) => Some(err),
         }
