@@ -17,7 +17,7 @@ use gamekit::{ai_frame_sched_recovering_buffered, AiConfig, EntityArray, WorldGe
 use memspace::AccessMode;
 use offload_rt::sched::SchedPolicy;
 use offload_rt::{ArrayAccessor, RemoteSlice};
-use simcell::{FaultPlan, Machine, MachineConfig, SimError};
+use simcell::{FaultPlan, LaunchSettings, Machine, MachineConfig, SimError};
 use xrng::Rng;
 
 const LEN: u32 = 64;

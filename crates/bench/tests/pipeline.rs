@@ -13,7 +13,9 @@ use memspace::Addr;
 use offload_rt::pipeline::MachinePipelineExt;
 use offload_rt::stream::{process_stream, StreamConfig};
 use offload_rt::PipeReport;
-use simcell::{AccelCtx, FaultPlan, Machine, MachineConfig, SimError};
+use simcell::{
+    AccelCtx, FaultPlan, LaunchSettings, Machine, MachineConfig, RecoverySettings, SimError,
+};
 use xrng::Rng;
 
 /// One randomly drawn pipeline shape.

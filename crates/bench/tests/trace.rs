@@ -76,11 +76,13 @@ fn transfer_capture() -> Machine {
         .expect("launch succeeds")
         .expect("clean transfers succeed");
 
-    machine.install_fault_plan(
-        FaultPlan::new(0x7A0B)
-            .with_dma_drop(0.2)
-            .with_dma_corrupt(0.2),
-    );
+    machine
+        .install_fault_plan(
+            FaultPlan::new(0x7A0B)
+                .with_dma_drop(0.2)
+                .with_dma_corrupt(0.2),
+        )
+        .unwrap();
     let (dropped, corrupted) = machine
         .offload(0)
         .label("faulty transfers")

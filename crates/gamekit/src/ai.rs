@@ -18,7 +18,7 @@
 use memspace::Addr;
 use offload_rt::sched::{SchedExt, SchedPolicy, SchedReport};
 use offload_rt::{ArrayAccessor, RemoteSlice};
-use simcell::{AccelCtx, FaultPlan, Machine, SimError};
+use simcell::{AccelCtx, FaultPlan, LaunchSettings, Machine, RecoverySettings, SimError};
 
 use crate::entity::{state, EntityArray, GameEntity};
 use crate::math::Vec3;
@@ -231,54 +231,13 @@ pub fn ai_frame_sched(
     policy: SchedPolicy,
     extra: &[u64],
 ) -> Result<SchedReport, SimError> {
-    if accels == 0 || accels > machine.accel_count() {
-        return Err(SimError::BadConfig {
-            reason: format!(
-                "tiling needs 1..={} accelerators, got {accels}",
-                machine.accel_count()
-            ),
-        });
-    }
-    let n = entities.len();
-    let k = config.candidates;
-    let (_, report) = machine
+    let sched = machine
         .offload(0)
         .label("ai tile")
         .sched(policy)
-        .accels(accels)
-        .run_tiles(tiles, |ctx, tile| -> Result<(), SimError> {
-            if let Some(&cost) = extra.get(tile as usize) {
-                ctx.compute(cost);
-            }
-            let begin = n * tile / tiles;
-            let end = n * (tile + 1) / tiles;
-            let all = ArrayAccessor::<GameEntity>::fetch(ctx, entities.base(), n)?;
-            let count = end - begin;
-            if count == 0 {
-                return Ok(());
-            }
-            let table_slice = ArrayAccessor::<u32>::fetch(
-                ctx,
-                candidate_table.element(begin * k, 4)?,
-                count * k,
-            )?;
-            let mut out =
-                ArrayAccessor::<GameEntity>::for_output(ctx, entities.addr_of(begin)?, count)?;
-            for i in 0..count {
-                let mut me = all.get(ctx, begin + i)?;
-                let mut candidates = Vec::with_capacity(k as usize);
-                for j in 0..k {
-                    let idx = table_slice.get(ctx, i * k + j)?;
-                    let c = all.get(ctx, idx)?;
-                    ctx.compute(config.per_candidate_compute);
-                    candidates.push((idx, c.pos, c.health));
-                }
-                decide(&mut me, begin + i, &candidates);
-                ctx.compute(config.think_compute);
-                out.set(ctx, i, &me)?;
-            }
-            out.write_back(ctx)
-        })?;
+        .accels(accels);
+    let body = ai_tile(entities, None, candidate_table, config, tiles, extra);
+    let (_, report) = sched.run_tiles(tiles, body)?;
     Ok(report)
 }
 
@@ -294,8 +253,9 @@ pub fn ai_frame_sched(
 ///
 /// # Errors
 ///
-/// As for [`ai_frame_sched`]; with the host fallback armed, injected
-/// faults never surface as errors.
+/// As for [`ai_frame_sched`], and if the scheduler refuses `plan`,
+/// `retries` or `backoff` (see [`simcell::Launch::arm`]); with the host
+/// fallback armed, injected faults never surface as errors.
 #[allow(clippy::too_many_arguments)] // an experiment entry point: all knobs are the point
 pub fn ai_frame_sched_recovering(
     machine: &mut Machine,
@@ -309,17 +269,7 @@ pub fn ai_frame_sched_recovering(
     retries: u32,
     backoff: u64,
 ) -> Result<SchedReport, SimError> {
-    if accels == 0 || accels > machine.accel_count() {
-        return Err(SimError::BadConfig {
-            reason: format!(
-                "tiling needs 1..={} accelerators, got {accels}",
-                machine.accel_count()
-            ),
-        });
-    }
-    let n = entities.len();
-    let k = config.candidates;
-    let (_, report) = machine
+    let sched = machine
         .offload(0)
         .label("ai tile")
         .faults(plan)
@@ -327,38 +277,74 @@ pub fn ai_frame_sched_recovering(
         .accels(accels)
         .retry(retries)
         .backoff(backoff)
-        .fallback_host()
-        .run_tiles(tiles, |ctx, tile| -> Result<(), SimError> {
-            let begin = n * tile / tiles;
-            let end = n * (tile + 1) / tiles;
-            let all = ArrayAccessor::<GameEntity>::fetch(ctx, entities.base(), n)?;
-            let count = end - begin;
-            if count == 0 {
-                return Ok(());
-            }
-            let table_slice = ArrayAccessor::<u32>::fetch(
-                ctx,
-                candidate_table.element(begin * k, 4)?,
-                count * k,
-            )?;
-            let mut out =
-                ArrayAccessor::<GameEntity>::for_output(ctx, entities.addr_of(begin)?, count)?;
-            for i in 0..count {
-                let mut me = all.get(ctx, begin + i)?;
-                let mut candidates = Vec::with_capacity(k as usize);
-                for j in 0..k {
-                    let idx = table_slice.get(ctx, i * k + j)?;
-                    let c = all.get(ctx, idx)?;
-                    ctx.compute(config.per_candidate_compute);
-                    candidates.push((idx, c.pos, c.health));
-                }
-                decide(&mut me, begin + i, &candidates);
-                ctx.compute(config.think_compute);
-                out.set(ctx, i, &me)?;
-            }
-            out.write_back(ctx)
-        })?;
+        .fallback_host();
+    let body = ai_tile(entities, None, candidate_table, config, tiles, &[]);
+    let (_, report) = sched.run_tiles(tiles, body)?;
     Ok(report)
+}
+
+/// The tile kernel of every scheduled AI frame, which differ only in
+/// the launch their scheduler carries and in this kernel's knobs: tile
+/// `t` of `tiles` first charges `extra[t]` cycles, then decides for its
+/// slice of `input` and writes the decisions into the same slice of
+/// `out`, or back into `input` when `out` is `None`. A separate `out`
+/// is the double-buffered frame, whose tiles also run a defensive
+/// sanitize pass over their candidate-table slice and flush it at the
+/// end.
+fn ai_tile<'a>(
+    input: &'a EntityArray,
+    out: Option<&'a EntityArray>,
+    candidate_table: Addr,
+    config: &'a AiConfig,
+    tiles: u32,
+    extra: &'a [u64],
+) -> impl FnMut(&mut AccelCtx<'_>, u32) -> Result<(), SimError> + 'a {
+    let n = input.len();
+    let k = config.candidates;
+    move |ctx, tile| {
+        if let Some(&cost) = extra.get(tile as usize) {
+            ctx.compute(cost);
+        }
+        let begin = n * tile / tiles;
+        let end = n * (tile + 1) / tiles;
+        let all = ArrayAccessor::<GameEntity>::fetch(ctx, input.base(), n)?;
+        let count = end - begin;
+        if count == 0 {
+            return Ok(());
+        }
+        let mut table_slice =
+            ArrayAccessor::<u32>::fetch(ctx, candidate_table.element(begin * k, 4)?, count * k)?;
+        if out.is_some() {
+            // Clamp every candidate index into range. On a valid table
+            // this rewrites each slot with the value it already holds —
+            // the buffer ends dirty but unchanged.
+            for j in 0..count * k {
+                let idx = table_slice.get(ctx, j)?;
+                table_slice.set(ctx, j, &idx.min(n - 1))?;
+            }
+        }
+        let target = out.unwrap_or(input).addr_of(begin)?;
+        let mut decisions = ArrayAccessor::<GameEntity>::for_output(ctx, target, count)?;
+        for i in 0..count {
+            let mut me = all.get(ctx, begin + i)?;
+            let mut candidates = Vec::with_capacity(k as usize);
+            for j in 0..k {
+                let idx = table_slice.get(ctx, i * k + j)?;
+                let c = all.get(ctx, idx)?;
+                ctx.compute(config.per_candidate_compute);
+                candidates.push((idx, c.pos, c.health));
+            }
+            decide(&mut me, begin + i, &candidates);
+            ctx.compute(config.think_compute);
+            decisions.set(ctx, i, &me)?;
+        }
+        // The conservative flush of a sanitized slice: without
+        // declarations this is a real put; with `reads(table)` it is
+        // elided (and a table that actually changed would be an
+        // undeclared write). A clean slice flushes nothing.
+        table_slice.write_back(ctx)?;
+        decisions.write_back(ctx)
+    }
 }
 
 /// Runs one AI frame as recovering scheduled tiles in *double-buffered*
@@ -408,14 +394,6 @@ pub fn ai_frame_sched_recovering_buffered(
     backoff: u64,
     declare_modes: bool,
 ) -> Result<SchedReport, SimError> {
-    if accels == 0 || accels > machine.accel_count() {
-        return Err(SimError::BadConfig {
-            reason: format!(
-                "tiling needs 1..={} accelerators, got {accels}",
-                machine.accel_count()
-            ),
-        });
-    }
     if out.len() < entities_in.len() {
         return Err(SimError::BadConfig {
             reason: format!(
@@ -442,44 +420,8 @@ pub fn ai_frame_sched_recovering_buffered(
             .reads(candidate_table, n * k * 4)
             .writes(out.base(), n * GameEntity::STRIDE);
     }
-    let (_, report) = sched.run_tiles(tiles, |ctx, tile| -> Result<(), SimError> {
-        let begin = n * tile / tiles;
-        let end = n * (tile + 1) / tiles;
-        let all = ArrayAccessor::<GameEntity>::fetch(ctx, entities_in.base(), n)?;
-        let count = end - begin;
-        if count == 0 {
-            return Ok(());
-        }
-        let mut table_slice =
-            ArrayAccessor::<u32>::fetch(ctx, candidate_table.element(begin * k, 4)?, count * k)?;
-        // Defensive sanitize pass: clamp every candidate index into
-        // range. On a valid table this rewrites each slot with the
-        // value it already holds — the buffer ends dirty but unchanged.
-        for j in 0..count * k {
-            let idx = table_slice.get(ctx, j)?;
-            table_slice.set(ctx, j, &idx.min(n - 1))?;
-        }
-        let mut decisions =
-            ArrayAccessor::<GameEntity>::for_output(ctx, out.addr_of(begin)?, count)?;
-        for i in 0..count {
-            let mut me = all.get(ctx, begin + i)?;
-            let mut candidates = Vec::with_capacity(k as usize);
-            for j in 0..k {
-                let idx = table_slice.get(ctx, i * k + j)?;
-                let c = all.get(ctx, idx)?;
-                ctx.compute(config.per_candidate_compute);
-                candidates.push((idx, c.pos, c.health));
-            }
-            decide(&mut me, begin + i, &candidates);
-            ctx.compute(config.think_compute);
-            decisions.set(ctx, i, &me)?;
-        }
-        // Conservative flush: without declarations this is a real put;
-        // with `reads(table)` it is elided (and a table that actually
-        // changed would be an undeclared write).
-        table_slice.write_back(ctx)?;
-        decisions.write_back(ctx)
-    })?;
+    let body = ai_tile(entities_in, Some(out), candidate_table, config, tiles, &[]);
+    let (_, report) = sched.run_tiles(tiles, body)?;
     Ok(report)
 }
 

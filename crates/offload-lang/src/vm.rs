@@ -49,7 +49,7 @@
 //! execution.
 
 use memspace::{Addr, SpaceId};
-use simcell::{AccelCtx, CostModel, Machine, ModeSet, SimError};
+use simcell::{AccelCtx, CostModel, LaunchSettings, Machine, ModeSet, SimError};
 use softcache::CacheConfig;
 
 use crate::bytecode::{ArithF, ArithI, Cmp, DomainId, FuncId, Instr, SpaceTag, ValType};

@@ -134,7 +134,7 @@ impl<T: Pod> ArrayAccessor<T> {
     /// element was modified; no-op otherwise.
     ///
     /// When the offload declared the remote range `read` (see
-    /// `OffloadBuilder::reads` in `simcell`), a dirty-but-unchanged
+    /// `LaunchSettings::reads` in `simcell`), a dirty-but-unchanged
     /// array — the conservative-flush idiom — skips the transfer
     /// entirely: the elision is counted in the machine stats and costs
     /// zero cycles.

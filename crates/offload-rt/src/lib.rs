@@ -60,9 +60,9 @@ pub use domain::{
     accel_virtual_dispatch, class_of, host_virtual_dispatch, set_class, ClassId, ClassRegistry,
     Domain, DuplicateId, FnAddr, LookupCost, MethodSlot, MethodTable,
 };
-pub use pipeline::{MachinePipelineExt, PipeLaneReport, PipeReport, PipelineBuilder};
+pub use pipeline::{MachinePipelineExt, PipeReport, PipelineBuilder};
 pub use remote::{GatherView, RemoteSlice};
-pub use sched::{SchedExt, SchedPolicy, SchedReport, TileScheduler};
+pub use sched::{LaneReport, SchedExt, SchedPolicy, SchedReport, TileScheduler};
 pub use stream::{process_chunked, process_stream, StreamConfig};
 pub use tuned::{build_tuned_cache, TunedCache};
 

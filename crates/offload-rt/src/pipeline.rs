@@ -39,13 +39,10 @@
 //!
 //! # Recovery
 //!
-//! The `.faults(plan)/.retry(n)/.backoff(c)/.fallback_host()` chain
-//! works as for the tile scheduler: a transient fault re-runs the
-//! stage/chunk item on its accelerator after rolling back its puts; an
-//! unrecoverable item (retries exhausted, or the stage's accelerator
-//! dead) degrades to host execution when the fallback is enabled, and
-//! downstream stages simply see a later push time. Results stay
-//! bit-identical to the fault-free run.
+//! The `.faults(plan)` / `.retry(n)` / `.backoff(c)` / `.fallback_host()`
+//! chain arms the recovery policy documented once, on
+//! [`simcell::RecoverySettings`], with each stage/chunk item as the unit
+//! that retries or degrades to the host.
 //!
 //! # Example
 //!
@@ -85,9 +82,11 @@
 //! ```
 
 use memspace::{Addr, Pod};
-use simcell::{AccelCtx, AccessMode, FaultPlan, Machine, ModeSet, OffloadHandle, SimError};
+use simcell::{
+    AccelCtx, Launch, LaunchSettings, Machine, ModeSet, OffloadHandle, RecoverySettings, SimError,
+};
 
-use crate::sched::{run_with_retries, DEFAULT_RETRY_BACKOFF};
+use crate::sched::{fold_lanes, recovery_since, LaneReport};
 use crate::stream::{process_stream, StreamConfig};
 
 /// Default bounded-queue depth between adjacent stages, in chunks —
@@ -116,11 +115,7 @@ impl MachinePipelineExt for Machine {
             stages: Vec::new(),
             buffers: DEFAULT_PIPE_BUFFERS,
             chunk_elems: DEFAULT_PIPE_CHUNK,
-            faults: None,
-            retries: 0,
-            backoff: DEFAULT_RETRY_BACKOFF,
-            fallback: false,
-            orphan_modes: false,
+            launch: Launch::default(),
         }
     }
 }
@@ -145,42 +140,32 @@ pub struct PipelineBuilder<'m, T> {
     stages: Vec<PipeStage<'m, T>>,
     buffers: u32,
     chunk_elems: u32,
-    faults: Option<FaultPlan>,
-    retries: u32,
-    backoff: u64,
-    fallback: bool,
-    orphan_modes: bool,
+    launch: Launch,
 }
 
-/// Per-stage row of a [`PipeReport`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PipeLaneReport {
-    /// The stage index (0 = first stage).
-    pub stage: u16,
-    /// The accelerator the stage ran on.
-    pub accel: u16,
-    /// The stage's trace label.
-    pub name: &'static str,
-    /// Chunks the stage processed.
-    pub chunks: u32,
-    /// Cycles the stage's items occupied the accelerator (compute,
-    /// transfers, and charged stalls).
-    pub busy: u64,
-    /// Cycles the lane sat idle between the pipeline start and the
-    /// last item end anywhere.
-    pub idle: u64,
+/// Mode declarations apply to the most recently added stage; made
+/// before any stage, they land on the pipeline's own [`Launch`], which
+/// [`PipelineBuilder::run`] refuses.
+impl<T: Pod> LaunchSettings for PipelineBuilder<'_, T> {
+    fn launch_mut(&mut self) -> &mut Launch {
+        &mut self.launch
+    }
+
+    fn modes_mut(&mut self) -> &mut ModeSet {
+        match self.stages.last_mut() {
+            Some(stage) => &mut stage.modes,
+            None => &mut self.launch.modes,
+        }
+    }
 }
+
+impl<T: Pod> RecoverySettings for PipelineBuilder<'_, T> {}
 
 /// What a [`PipelineBuilder::run`] did, for reports and assertions.
-/// All cycle figures are simulated cycles.
-///
-/// Shares the busy/idle/stall vocabulary of
-/// [`SchedReport`](crate::sched::SchedReport) — see the terminology
-/// table there. The same three accessors exist here:
-/// [`busy_cycles`](PipeReport::busy_cycles),
-/// [`idle_cycles`](PipeReport::idle_cycles), and
-/// [`stall_cycles`](PipeReport::stall_cycles) (input waits plus
-/// backpressure).
+/// All cycle figures are simulated cycles; busy, idle and stall are
+/// defined on [`LaneReport`], and
+/// [`stall_cycles`](PipeReport::stall_cycles) here is input waits plus
+/// backpressure.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PipeReport {
     /// Stages in the pipeline.
@@ -196,8 +181,8 @@ pub struct PipeReport {
     /// Cycle at which the last stage/chunk item finished (absolute
     /// machine time).
     pub finished_at: u64,
-    /// One row per stage.
-    pub lanes: Vec<PipeLaneReport>,
+    /// One row per stage, in stage order.
+    pub lanes: Vec<LaneReport>,
     /// Cycles stages stalled waiting for their input chunk.
     pub input_wait_cycles: u64,
     /// Cycles stages stalled on a full downstream queue.
@@ -211,15 +196,14 @@ pub struct PipeReport {
 }
 
 impl PipeReport {
-    /// Total busy cycles: the sum of [`PipeLaneReport::busy`] over
-    /// every stage lane (see the busy/idle/stall table on
-    /// [`SchedReport`](crate::sched::SchedReport)).
+    /// Total busy cycles: the sum of [`LaneReport::busy`] over every
+    /// stage lane.
     pub fn busy_cycles(&self) -> u64 {
         self.lanes.iter().map(|l| l.busy).sum()
     }
 
-    /// Total idle cycles: the sum of [`PipeLaneReport::idle`] over
-    /// every stage lane.
+    /// Total idle cycles: the sum of [`LaneReport::idle`] over every
+    /// stage lane.
     pub fn idle_cycles(&self) -> u64 {
         self.lanes.iter().map(|l| l.idle).sum()
     }
@@ -261,40 +245,6 @@ impl<'m, T: Pod> PipelineBuilder<'m, T> {
         self
     }
 
-    /// Declares that the *most recently added* stage only loads from
-    /// `[addr, addr+len)` — see `OffloadBuilder::reads` in `simcell`.
-    /// A read-declared chunk's write-back DMA is elided (counted in
-    /// [`MachineStats::dma_writebacks_elided`](simcell::MachineStats)),
-    /// and a stage that nonetheless mutates the chunk fails with
-    /// [`SimError::UndeclaredWrite`].
-    ///
-    /// Must follow a [`PipelineBuilder::stage`] call; declaring modes
-    /// on an empty pipeline is rejected by [`PipelineBuilder::run`].
-    pub fn reads(self, addr: Addr, len: u32) -> PipelineBuilder<'m, T> {
-        self.declare(addr, len, AccessMode::Read)
-    }
-
-    /// Declares that the most recently added stage fully overwrites
-    /// `[addr, addr+len)` without reading it: the put journal skips
-    /// pre-image snapshots for the range under an armed fault plan.
-    pub fn writes(self, addr: Addr, len: u32) -> PipelineBuilder<'m, T> {
-        self.declare(addr, len, AccessMode::Write)
-    }
-
-    /// Declares that the most recently added stage both reads and
-    /// writes `[addr, addr+len)`.
-    pub fn updates(self, addr: Addr, len: u32) -> PipelineBuilder<'m, T> {
-        self.declare(addr, len, AccessMode::Update)
-    }
-
-    fn declare(mut self, addr: Addr, len: u32, mode: AccessMode) -> PipelineBuilder<'m, T> {
-        match self.stages.last_mut() {
-            Some(stage) => stage.modes.declare(addr, len, mode),
-            None => self.orphan_modes = true,
-        }
-        self
-    }
-
     /// Places stage 0 on accelerator `accel` (stage `k` on
     /// `accel + k`). Defaults to 0.
     pub fn base(mut self, accel: u16) -> PipelineBuilder<'m, T> {
@@ -319,38 +269,6 @@ impl<'m, T: Pod> PipelineBuilder<'m, T> {
         self
     }
 
-    /// Arms `plan` on the machine when the run starts. The plan
-    /// persists on the machine afterwards; clear it with
-    /// [`Machine::clear_fault_plan`].
-    pub fn faults(mut self, plan: FaultPlan) -> PipelineBuilder<'m, T> {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Retries a stage/chunk item up to `n` times after a *transient*
-    /// fault before giving up on it. Default 0: the first fault is
-    /// final.
-    pub fn retry(mut self, n: u32) -> PipelineBuilder<'m, T> {
-        self.retries = n;
-        self
-    }
-
-    /// Sets the simulated cycles a retried item waits on the
-    /// accelerator clock before re-running (default
-    /// [`DEFAULT_RETRY_BACKOFF`]).
-    pub fn backoff(mut self, cycles: u64) -> PipelineBuilder<'m, T> {
-        self.backoff = cycles;
-        self
-    }
-
-    /// Degrades unrecoverable stage/chunk items to host execution
-    /// instead of failing the run, at the cost model's
-    /// `host_fallback_factor` penalty.
-    pub fn fallback_host(mut self) -> PipelineBuilder<'m, T> {
-        self.fallback = true;
-        self
-    }
-
     /// Streams `len` elements starting at `remote` through every
     /// stage, in chunks, and joins everything.
     ///
@@ -362,10 +280,12 @@ impl<'m, T: Pod> PipelineBuilder<'m, T> {
     ///
     /// # Errors
     ///
-    /// Fails with [`SimError::BadConfig`] if the pipeline has no
-    /// stages, a zero queue depth, or more stages than accelerators
-    /// from [`PipelineBuilder::base`] up; otherwise propagates the
-    /// first stage error or unrecovered fault.
+    /// Fails before anything is armed with [`SimError::BadConfig`] if
+    /// mode declarations precede every stage, the queue depth is zero,
+    /// or [`Launch::arm`] refuses the run (no stages, more stages than
+    /// accelerators from [`PipelineBuilder::base`] up, a bad plan or
+    /// recovery policy); otherwise propagates the first stage error or
+    /// unrecovered fault.
     pub fn run(self, remote: Addr, len: u32) -> Result<PipeReport, SimError> {
         let PipelineBuilder {
             machine,
@@ -373,40 +293,22 @@ impl<'m, T: Pod> PipelineBuilder<'m, T> {
             mut stages,
             buffers,
             chunk_elems,
-            faults,
-            retries,
-            backoff,
-            fallback,
-            orphan_modes,
+            launch,
         } = self;
-        if orphan_modes {
+        if !launch.modes.is_empty() {
             return Err(SimError::BadConfig {
                 reason: "pipeline mode declarations (.reads/.writes/.updates) must follow \
                          the .stage() they describe"
                     .into(),
             });
         }
+        if buffers == 0 {
+            return Err(SimError::BadConfig {
+                reason: "a pipeline needs at least one buffer between stages".into(),
+            });
+        }
         let stage_count = stages.len() as u32;
-        if stage_count == 0 || buffers == 0 {
-            return Err(SimError::BadConfig {
-                reason: format!(
-                    "a pipeline needs at least one stage and one buffer \
-                     (got {stage_count} stages, {buffers} buffers)"
-                ),
-            });
-        }
-        if u32::from(base) + stage_count > u32::from(machine.accel_count()) {
-            return Err(SimError::BadConfig {
-                reason: format!(
-                    "pipeline stages {base}..{} exceed the machine's {} accelerators",
-                    u32::from(base) + stage_count,
-                    machine.accel_count()
-                ),
-            });
-        }
-        if let Some(plan) = faults {
-            machine.install_fault_plan(plan);
-        }
+        launch.arm(machine, base, stage_count.try_into().unwrap_or(u16::MAX))?;
         let chunk_elems = chunk_elems.max(1);
         let chunks = len.div_ceil(chunk_elems);
         let elem = T::SIZE as u32;
@@ -425,9 +327,9 @@ impl<'m, T: Pod> PipelineBuilder<'m, T> {
         // started consuming it (its producer's slot frees then).
         let mut pushed = vec![vec![0u64; chunks as usize]; stages.len()];
         let mut popped = vec![vec![0u64; chunks as usize]; stages.len()];
-        // (stage, start, end) of every item, for the lane reports.
+        // (accel, start, end) of every item, for the lane reports.
         let mut runs: Vec<(u16, u64, u64)> = Vec::with_capacity((stage_count * chunks) as usize);
-        let mut pending: Vec<(u16, OffloadHandle<Result<(), SimError>>)> = Vec::new();
+        let mut pending: Vec<OffloadHandle<Result<(), SimError>>> = Vec::new();
 
         for diagonal in 0..stage_count + chunks.saturating_sub(1) {
             // Within a diagonal, stages run back to front so that with
@@ -471,7 +373,7 @@ impl<'m, T: Pod> PipelineBuilder<'m, T> {
                             ctx.compute(wait);
                         }
                         pop_at = ctx.now();
-                        let result = run_with_retries(ctx, i, retries, backoff, &mut body);
+                        let result = launch.run_item(ctx, i, &mut body);
                         // Block until the downstream queue has a free slot;
                         // only then is the chunk really pushed.
                         if let Some(pop) = queue_slot {
@@ -484,84 +386,53 @@ impl<'m, T: Pod> PipelineBuilder<'m, T> {
                         push_at = ctx.now();
                         result
                     });
-                match spawned {
-                    Ok(handle) => match handle.peek() {
-                        Ok(()) => {
-                            machine.pipe_note_run(
-                                handle.start(),
-                                accel,
-                                stage_idx,
-                                i,
-                                handle.end(),
-                            );
-                            runs.push((stage_idx, handle.start(), handle.end()));
-                            popped[k][i as usize] = pop_at;
-                            pushed[k][i as usize] = push_at;
-                            if k + 1 == stages.len() {
-                                machine.pipe_note_chunk(handle.end(), i);
-                            }
-                            pending.push((stage_idx, handle));
-                            continue;
-                        }
-                        Err(SimError::Fault(_)) if fallback => {
-                            // The failed attempt occupied the lane to
-                            // its end; the host learns of it at join
-                            // and re-runs the item itself below.
-                            machine.join(handle).expect_err("peeked a fault just above");
-                        }
-                        Err(_) => {
-                            return Err(machine
-                                .join(handle)
-                                .expect_err("peeked an error just above"));
-                        }
-                    },
-                    // The stage's accelerator is dead (or the launch
-                    // itself faulted): recoverable only by the host.
-                    Err(SimError::Fault(_)) if fallback => {}
+                let ran = match spawned {
+                    Ok(handle) if handle.peek().is_ok() => {
+                        let span = (handle.start(), handle.end(), pop_at, push_at);
+                        pending.push(handle);
+                        Ok(span)
+                    }
+                    // A failed attempt occupied the lane to its end; the
+                    // host learns of it at join.
+                    Ok(handle) => Err(machine
+                        .join(handle)
+                        .expect_err("peeked an error just above")),
+                    Err(e) => Err(e),
+                };
+                let (start, end, pop, push) = match ran {
+                    Ok(span) => span,
+                    // A faulted item, or a dead stage accelerator: only
+                    // the host can run the item now.
+                    Err(SimError::Fault(_)) if launch.fallback => {
+                        let start = machine.host_now();
+                        let modes = stage.modes.clone();
+                        machine
+                            .run_host_fallback(accel, i, stage.name, modes, |ctx| body(ctx, i))??;
+                        let end = machine.host_now();
+                        (start, end, start, end)
+                    }
                     Err(e) => return Err(e),
-                }
-                machine.recovery_note_fallback(machine.host_now(), accel, i);
-                let fb_start = machine.host_now();
-                machine.run_host_fallback(accel, stage.name, stage.modes.clone(), |ctx| {
-                    run_with_retries(ctx, i, 0, backoff, &mut body)
-                })??;
-                let fb_end = machine.host_now();
-                machine.pipe_note_run(fb_start, accel, stage_idx, i, fb_end);
-                runs.push((stage_idx, fb_start, fb_end));
-                popped[k][i as usize] = fb_start;
-                pushed[k][i as usize] = fb_end;
-                if k + 1 == stages.len() {
-                    machine.pipe_note_chunk(fb_end, i);
-                }
+                };
+                let last = k + 1 == stages.len();
+                machine.pipe_note_run(start, accel, stage_idx, i, end, last);
+                runs.push((accel, start, end));
+                popped[k][i as usize] = pop;
+                pushed[k][i as usize] = push;
             }
         }
 
         // Join in dispatch order: every result was peeked Ok above.
-        for (_, handle) in pending {
+        for handle in pending {
             machine.join(handle)?;
         }
 
-        let finished_at = runs.iter().map(|&(_, _, end)| end).max().unwrap_or(t0);
-        let lanes = stages
+        let named = stages
             .iter()
-            .enumerate()
-            .map(|(k, stage)| {
-                let busy: u64 = runs
-                    .iter()
-                    .filter(|&&(s, _, _)| s == k as u16)
-                    .map(|&(_, start, end)| end - start)
-                    .sum();
-                PipeLaneReport {
-                    stage: k as u16,
-                    accel: base + k as u16,
-                    name: stage.name,
-                    chunks,
-                    busy,
-                    idle: finished_at.saturating_sub(t0).saturating_sub(busy),
-                }
-            })
-            .collect();
-        let s1 = *machine.stats();
+            .zip(base..)
+            .map(|(stage, accel)| (accel, stage.name));
+        let (lanes, finished_at) = fold_lanes(t0, named, &mut runs, |_, _, _| {});
+        let (faults, retries, fallbacks) = recovery_since(machine, &s0);
+        let stats = machine.stats();
         Ok(PipeReport {
             stages: stage_count as u16,
             chunks,
@@ -570,11 +441,11 @@ impl<'m, T: Pod> PipelineBuilder<'m, T> {
             cycles: machine.host_now() - t0,
             finished_at,
             lanes,
-            input_wait_cycles: s1.pipe_input_wait_cycles - s0.pipe_input_wait_cycles,
-            backpressure_cycles: s1.pipe_backpressure_cycles - s0.pipe_backpressure_cycles,
-            faults: s1.faults_injected - s0.faults_injected,
-            retries: s1.recovery_retries - s0.recovery_retries,
-            fallbacks: s1.recovery_fallbacks - s0.recovery_fallbacks,
+            input_wait_cycles: stats.pipe_input_wait_cycles - s0.pipe_input_wait_cycles,
+            backpressure_cycles: stats.pipe_backpressure_cycles - s0.pipe_backpressure_cycles,
+            faults,
+            retries,
+            fallbacks,
         })
     }
 }
@@ -582,7 +453,7 @@ impl<'m, T: Pod> PipelineBuilder<'m, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcell::MachineConfig;
+    use simcell::{FaultPlan, MachineConfig};
 
     fn prepared(m: &mut Machine, len: u32) -> Addr {
         let remote = m.alloc_main_slice::<u32>(len).unwrap();
@@ -777,9 +648,9 @@ mod tests {
         let report = run_pipeline(&mut m, remote, 256, 64);
         assert_eq!(report.lanes.len(), 3);
         for (k, lane) in report.lanes.iter().enumerate() {
-            assert_eq!(lane.stage, k as u16);
+            assert_eq!(lane.name, ["s0", "s1", "s2"][k]);
             assert_eq!(lane.accel, k as u16);
-            assert_eq!(lane.chunks, 4);
+            assert_eq!(lane.items, 4);
             assert!(lane.busy > 0);
             assert_eq!(
                 lane.busy + lane.idle,

@@ -8,14 +8,15 @@
 
 pub use memspace::{Addr, Pod, SpaceId};
 pub use simcell::{
-    AccelCtx, AccessMode, DispatchFault, FaultError, FaultPlan, GatherPlan, Machine, MachineConfig,
-    ModeDecl, ModeSet, OffloadBuilder, OffloadHandle, SimError,
+    AccelCtx, AccessMode, DispatchFault, FaultError, FaultPlan, GatherPlan, LaunchSettings,
+    Machine, MachineConfig, ModeDecl, ModeSet, OffloadBuilder, OffloadHandle, RecoverySettings,
+    SimError,
 };
 pub use softcache::{autotune::autotune, CacheChoice, CacheConfig, TunedCache};
 
 pub use crate::accessor::ArrayAccessor;
-pub use crate::pipeline::{MachinePipelineExt, PipeLaneReport, PipeReport, PipelineBuilder};
+pub use crate::pipeline::{MachinePipelineExt, PipeReport, PipelineBuilder};
 pub use crate::remote::{GatherView, RemoteSlice};
-pub use crate::sched::{SchedExt, SchedPolicy, SchedReport, TileScheduler};
+pub use crate::sched::{LaneReport, SchedExt, SchedPolicy, SchedReport, TileScheduler};
 pub use crate::stream::{process_chunked, process_stream, StreamConfig};
 pub use crate::tuned::build_tuned_cache;

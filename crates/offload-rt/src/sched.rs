@@ -35,30 +35,12 @@
 //!
 //! # Recovery
 //!
-//! When a deterministic fault plan is armed (via the builder's
-//! `.faults(plan)` or [`TileScheduler::faults`]), the scheduler grows a
-//! recovery layer configured by [`TileScheduler::retry`],
-//! [`TileScheduler::backoff`] and [`TileScheduler::fallback_host`]:
-//!
-//! - **Retry with backoff**: a tile whose closure hits a *transient*
-//!   fault (DMA corruption/drop, tag timeout, local-store poison) is
-//!   re-run on the same accelerator, up to the configured retry count.
-//!   Each retry releases the tile's local-store allocations, quiesces
-//!   the DMA engine, charges the backoff cycles on the accelerator
-//!   clock, and records a `retry` event on the faults lane.
-//! - **Eviction**: an accelerator the fault plane kills is removed from
-//!   the live lane set mid-dispatch. Its queued tiles are redistributed
-//!   round-robin over the survivors (under work stealing the thieves
-//!   then rebalance them as usual); an `evict` event notes the move.
-//! - **Host fallback**: with [`TileScheduler::fallback_host`], a tile
-//!   that exhausts its retries — or that no live accelerator remains to
-//!   run — degrades to host execution via
-//!   [`simcell::Machine::run_host_fallback`], paying the cost model's
-//!   honest `host_fallback_factor` penalty. Without it, the fault
-//!   surfaces as the dispatch error.
-//!
-//! With no plan armed (or an all-zero plan) none of this draws from the
-//! fault RNG and the schedule is bit-identical to the fault-free one.
+//! The `.faults(plan)` / `.retry(n)` / `.backoff(c)` / `.fallback_host()`
+//! chain arms the recovery policy documented once, on
+//! [`simcell::RecoverySettings`]: transient faults retry with backoff,
+//! dead accelerators are evicted mid-dispatch and their queued tiles
+//! redistributed round-robin over the survivors, and what is left
+//! degrades to the host.
 //!
 //! # Example
 //!
@@ -88,12 +70,11 @@
 
 use std::collections::VecDeque;
 
-use memspace::Addr;
+use simcell::cost::check_cycles;
 use simcell::{
-    AccelCtx, AccessMode, FaultError, FaultPlan, Machine, ModeSet, OffloadBuilder, OffloadHandle,
-    OffloadParts, SimError,
+    AccelCtx, FaultError, Launch, LaunchSettings, Machine, MachineStats, OffloadBuilder,
+    OffloadHandle, RecoverySettings, SimError,
 };
-use softcache::CacheChoice;
 
 /// How a [`TileScheduler`] maps tiles onto accelerators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -129,11 +110,6 @@ impl SchedPolicy {
 /// two high-latency accesses' worth under the Cell-like cost model).
 pub const DEFAULT_STEAL_COST: u64 = 600;
 
-/// Simulated cycles a retried tile cools down on the accelerator clock
-/// before re-running (see [`TileScheduler::backoff`]): roughly the
-/// cost of re-staging one bulk descriptor under the Cell-like model.
-pub const DEFAULT_RETRY_BACKOFF: u64 = 1_000;
-
 /// Extends [`OffloadBuilder`] with the scheduler entry point, so a
 /// tiled dispatch reads as one fluent chain:
 /// `machine.offload(0).label("ai").cache(choice).sched(policy)`.
@@ -146,87 +122,74 @@ pub trait SchedExt<'m> {
 
 impl<'m> SchedExt<'m> for OffloadBuilder<'m> {
     fn sched(self, policy: SchedPolicy) -> TileScheduler<'m> {
-        let OffloadParts {
-            machine,
-            accel: base,
-            label,
-            cache,
-            faults,
-            modes,
-            // Tile schedulers re-launch per tile; launch-time gather
-            // declarations don't fan out, so kernels gather dynamically
-            // via AccelCtx::gather instead.
-            gathers: _,
-        } = self.into_parts();
         TileScheduler {
-            machine,
-            base,
+            offload: self,
             accels: None,
-            label,
-            cache,
             policy,
             steal_cost: DEFAULT_STEAL_COST,
-            faults,
-            retries: 0,
-            backoff: DEFAULT_RETRY_BACKOFF,
-            fallback: false,
-            modes,
         }
     }
 }
 
-/// A configured tile dispatch over several accelerators.
+/// A configured tile dispatch over several accelerators: the offload it
+/// fans out, with its [`Launch`], plus the scheduling knobs.
 ///
 /// Built by [`SchedExt::sched`]; consumed by
 /// [`TileScheduler::run_tiles`].
 #[must_use = "a tile scheduler does nothing until run_tiles"]
 #[derive(Debug)]
 pub struct TileScheduler<'m> {
-    machine: &'m mut Machine,
-    base: u16,
+    offload: OffloadBuilder<'m>,
     accels: Option<u16>,
-    label: &'static str,
-    cache: CacheChoice,
     policy: SchedPolicy,
     steal_cost: u64,
-    faults: Option<FaultPlan>,
-    retries: u32,
-    backoff: u64,
-    fallback: bool,
-    modes: ModeSet,
 }
 
-/// Per-accelerator row of a [`SchedReport`].
+impl LaunchSettings for TileScheduler<'_> {
+    fn launch_mut(&mut self) -> &mut Launch {
+        self.offload.launch_mut()
+    }
+}
+
+impl RecoverySettings for TileScheduler<'_> {}
+
+/// One lane's row in a [`SchedReport`] or a
+/// [`PipeReport`](crate::PipeReport): an accelerator that ran a
+/// dispatch's tiles, or one pipeline stage.
+///
+/// # Busy / idle / stall
+///
+/// Both reports share one vocabulary, exposed by the same three
+/// accessors on each (`busy_cycles`, `idle_cycles`, `stall_cycles`):
+///
+/// | term | meaning (simulated cycles) |
+/// |-------|---------------------------|
+/// | busy  | a lane was executing items: compute, transfers, and any stalls charged to the item ([`LaneReport::busy`]; `busy_cycles` sums it over the lanes) |
+/// | idle  | a lane had nothing to run between the run's start and the last item finishing anywhere ([`LaneReport::idle`]; `idle_cycles` sums it) |
+/// | stall | items were blocked on coordination rather than work — steal costs in a dispatch, input waits and backpressure in a pipeline (`stall_cycles`) |
+///
+/// Stall cycles are a *breakdown*, not a third bucket: they were
+/// charged somewhere (to the thief's lane in a dispatch, to the stage's
+/// item in a pipeline), so they are already inside the busy/cycle
+/// totals.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LaneReport {
-    /// The accelerator index.
+    /// The accelerator the lane ran on.
     pub accel: u16,
-    /// Tiles this accelerator ran.
-    pub tiles: u32,
-    /// Cycles spent running tiles.
+    /// The lane's trace label: the dispatch's label, or the stage's name.
+    pub name: &'static str,
+    /// Items the lane ran: tiles, or pipeline chunks.
+    pub items: u32,
+    /// Cycles spent running items.
     pub busy: u64,
-    /// Cycles spent idle between the dispatch start and the last tile
-    /// end anywhere (the gaps the scheduler lane shows as `idle`).
+    /// Cycles spent idle between the run's start and the last item end
+    /// anywhere (the gaps the scheduler lane shows as `idle`).
     pub idle: u64,
 }
 
 /// What a [`TileScheduler::run_tiles`] dispatch did, for reports and
-/// assertions. All cycle figures are simulated cycles.
-///
-/// # Busy / idle / stall
-///
-/// This report and [`PipeReport`](crate::PipeReport) share one
-/// vocabulary, exposed by the same three accessors on both:
-///
-/// | term | meaning (simulated cycles) |
-/// |-------|---------------------------|
-/// | busy  | a lane was executing items: compute, transfers, and any stalls charged to the item ([`busy_cycles`](SchedReport::busy_cycles), summed over [`LaneReport::busy`]) |
-/// | idle  | a lane had nothing to run between the dispatch start and the last item finishing anywhere ([`idle_cycles`](SchedReport::idle_cycles), summed over [`LaneReport::idle`]) |
-/// | stall | items were blocked on coordination rather than work — steal costs here, input waits and backpressure in a pipeline ([`stall_cycles`](SchedReport::stall_cycles)) |
-///
-/// Stall cycles are a *breakdown*, not a third bucket: they were
-/// charged somewhere (to the thief's lane here, to the stage's item in
-/// a pipeline), so they are already inside the busy/cycle totals.
+/// assertions. All cycle figures are simulated cycles; busy, idle and
+/// stall are defined on [`LaneReport`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SchedReport {
     /// The policy that produced this schedule.
@@ -258,7 +221,7 @@ pub struct SchedReport {
 
 impl SchedReport {
     /// Total busy cycles: the sum of [`LaneReport::busy`] over every
-    /// lane (see the busy/idle/stall table on [`SchedReport`]).
+    /// lane (see the busy/idle/stall table on [`LaneReport`]).
     pub fn busy_cycles(&self) -> u64 {
         self.lanes.iter().map(|l| l.busy).sum()
     }
@@ -310,69 +273,11 @@ impl<'m> TileScheduler<'m> {
     }
 
     /// Sets the simulated cycles a work-stealing thief pays per stolen
-    /// tile (default [`DEFAULT_STEAL_COST`]). Ignored by the other
+    /// tile (default [`DEFAULT_STEAL_COST`], at most
+    /// [`MAX_CYCLES`](simcell::MAX_CYCLES)). Ignored by the other
     /// policies.
     pub fn steal_cost(mut self, cycles: u64) -> TileScheduler<'m> {
         self.steal_cost = cycles;
-        self
-    }
-
-    /// Arms `plan` on the machine when the dispatch starts (the
-    /// scheduler-side twin of [`OffloadBuilder::faults`], for chains
-    /// that call [`SchedExt::sched`] first). The plan persists on the
-    /// machine afterwards; clear it with
-    /// [`Machine::clear_fault_plan`](simcell::Machine::clear_fault_plan).
-    pub fn faults(mut self, plan: FaultPlan) -> TileScheduler<'m> {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Retries a tile up to `n` times after a *transient* fault (DMA
-    /// corruption/drop, tag timeout, local-store poison) before giving
-    /// up on it. Default 0: the first fault is final.
-    pub fn retry(mut self, n: u32) -> TileScheduler<'m> {
-        self.retries = n;
-        self
-    }
-
-    /// Sets the simulated cycles a retried tile waits on the
-    /// accelerator clock before re-running (default
-    /// [`DEFAULT_RETRY_BACKOFF`]).
-    pub fn backoff(mut self, cycles: u64) -> TileScheduler<'m> {
-        self.backoff = cycles;
-        self
-    }
-
-    /// Declares that every tile only *loads* from `[addr, addr+len)`
-    /// (see [`OffloadBuilder::reads`]). The declaration applies to each
-    /// tile launch and to any host fallback of the same tile.
-    pub fn reads(mut self, addr: Addr, len: u32) -> TileScheduler<'m> {
-        self.modes.declare(addr, len, AccessMode::Read);
-        self
-    }
-
-    /// Declares that tiles *fully overwrite* `[addr, addr+len)` without
-    /// reading it (see [`OffloadBuilder::writes`]): the put journal
-    /// skips pre-image snapshots for the range under an armed fault
-    /// plan.
-    pub fn writes(mut self, addr: Addr, len: u32) -> TileScheduler<'m> {
-        self.modes.declare(addr, len, AccessMode::Write);
-        self
-    }
-
-    /// Declares that tiles read *and* write `[addr, addr+len)` (see
-    /// [`OffloadBuilder::updates`]).
-    pub fn updates(mut self, addr: Addr, len: u32) -> TileScheduler<'m> {
-        self.modes.declare(addr, len, AccessMode::Update);
-        self
-    }
-
-    /// Degrades unrecoverable tiles to host execution instead of
-    /// failing the dispatch: tiles that exhaust their retries, and
-    /// tiles stranded when every lane's accelerator has died, re-run on
-    /// the host at the cost model's `host_fallback_factor` penalty.
-    pub fn fallback_host(mut self) -> TileScheduler<'m> {
-        self.fallback = true;
         self
     }
 
@@ -386,81 +291,64 @@ impl<'m> TileScheduler<'m> {
     /// policy, so a policy changes cycle accounting, never results.
     ///
     /// With a fault plan armed, retries/evictions/fallbacks happen as
-    /// described at the module level; a tile that reaches the host
+    /// described on [`RecoverySettings`]; a tile that reaches the host
     /// fallback may re-run the closure there, so the closure must
     /// tolerate re-execution from a clean local-store mark.
     ///
     /// # Errors
     ///
-    /// Fails if the lane range does not exist on the machine, if the
-    /// tuned cache cannot be built, or with the first tile error (by
-    /// tile index) the closure returned. An injected fault the
-    /// recovery layer could not absorb (retries exhausted without
-    /// [`TileScheduler::fallback_host`], or every lane dead) surfaces
-    /// as [`SimError::Fault`].
+    /// Fails before anything is armed if the steal cost is out of
+    /// bounds or [`OffloadBuilder::fan_out`] refuses the dispatch (a
+    /// lane range the machine lacks, builder-declared gathers, a bad
+    /// plan or recovery policy); then if the tuned cache cannot be
+    /// built, or with the first tile error (by tile index) the closure
+    /// returned. An injected fault the recovery layer could not absorb
+    /// (retries exhausted without
+    /// [`fallback_host`](RecoverySettings::fallback_host), or every lane
+    /// dead) surfaces as [`SimError::Fault`].
     pub fn run_tiles<R>(
         self,
         tiles: u32,
         mut f: impl FnMut(&mut AccelCtx<'_>, u32) -> Result<R, SimError>,
     ) -> Result<(Vec<R>, SchedReport), SimError> {
         let TileScheduler {
-            machine,
-            base,
+            offload,
             accels,
-            label,
-            cache,
             policy,
             steal_cost,
-            faults,
-            retries,
-            backoff,
-            fallback,
-            modes,
         } = self;
-        if let Some(plan) = faults {
-            machine.install_fault_plan(plan);
-        }
-        let lane_count = accels.unwrap_or_else(|| machine.accel_count().saturating_sub(base));
-        if lane_count == 0
-            || u32::from(base) + u32::from(lane_count) > u32::from(machine.accel_count())
-        {
-            return Err(SimError::BadConfig {
-                reason: format!(
-                    "scheduler lanes {base}..{} exceed the machine's {} accelerators",
-                    u32::from(base) + u32::from(lane_count),
-                    machine.accel_count()
-                ),
-            });
-        }
-        let lanes: Vec<u16> = (base..base + lane_count).collect();
+        check_cycles("steal cost", steal_cost)?;
+        let (machine, lanes, launch) = offload.fan_out(accels)?;
+        let lanes: Vec<u16> = lanes.collect();
         let t0 = machine.host_now();
         let s0 = *machine.stats();
         let mut dispatches: Vec<Dispatch<R>> = Vec::with_capacity(tiles as usize);
         let mut steals = 0u32;
         let mut steal_cycles = 0u64;
-        let mut evicted: Vec<u16> = Vec::new();
-        // Tiles stranded by total accelerator loss, awaiting the host
-        // fallback (joined tiles that exhausted retries join them below).
-        let mut stranded: Vec<(u32, u16)> = Vec::new();
+        let mut losses = Losses {
+            evicted: Vec::new(),
+            stranded: Vec::new(),
+            fallback: launch.fallback,
+        };
 
         // One launch, shared by every policy: run the tile (stolen
         // tiles pay the grab first, retried tiles their backoff) and
         // note the run on the timeline.
-        let mut launch = |machine: &mut Machine,
-                          lane: u16,
-                          tile: u32,
-                          stolen_from: Option<u16>|
+        let mut spawn = |machine: &mut Machine,
+                         lane: u16,
+                         tile: u32,
+                         stolen_from: Option<u16>|
          -> Result<Dispatch<R>, SimError> {
             let handle = machine
                 .offload(lane)
-                .label(label)
-                .cache(cache)
-                .with_modes(modes.clone())
+                .label(launch.label)
+                .cache(launch.cache)
+                .with_modes(launch.modes.clone())
                 .spawn(|ctx| {
                     if stolen_from.is_some() {
                         ctx.compute(steal_cost);
                     }
-                    run_with_retries(ctx, tile, retries, backoff, &mut f)
+                    launch.run_item(ctx, tile, &mut f)
                 })?;
             if let Some(victim) = stolen_from {
                 machine.sched_note_steal(handle.start(), lane, victim, tile, steal_cost);
@@ -473,16 +361,7 @@ impl<'m> TileScheduler<'m> {
 
         match policy {
             SchedPolicy::Static => {
-                let mut queues: Vec<(u16, VecDeque<u32>)> = lanes
-                    .iter()
-                    .copied()
-                    .zip(static_split(tiles, &lanes))
-                    .collect();
-                for (lane, queue) in &queues {
-                    for &tile in queue {
-                        machine.sched_note_enqueue(t0, *lane, tile);
-                    }
-                }
+                let mut queues = split_queues(machine, t0, tiles, &lanes);
                 // Sweep the lanes in order, popping one front tile per
                 // lane per pass — position-major launch order: the
                 // first tile of each lane, then the second of each, …
@@ -497,38 +376,19 @@ impl<'m> TileScheduler<'m> {
                             continue;
                         };
                         let lane = queues[i].0;
-                        match launch(machine, lane, tile, None) {
+                        match spawn(machine, lane, tile, None) {
                             Ok(d) => {
                                 dispatches.push(d);
                                 remaining -= 1;
                                 i += 1;
                             }
                             Err(SimError::Fault(FaultError::AccelDead { .. })) => {
-                                let (dead, mut orphans) = queues.remove(i);
-                                orphans.push_front(tile);
-                                evicted.push(dead);
-                                machine.recovery_note_evict(
-                                    machine.host_now(),
-                                    dead,
-                                    orphans.len() as u32,
-                                );
-                                if queues.is_empty() {
-                                    if !fallback {
-                                        return Err(FaultError::AccelDead { accel: dead }.into());
-                                    }
-                                    stranded.extend(orphans.into_iter().map(|t| (t, dead)));
+                                // The eviction slides the next lane into
+                                // slot i, so this sweep continues
+                                // without skipping it.
+                                queues[i].1.push_front(tile);
+                                if !losses.evict(machine, &mut queues, i)? {
                                     break 'dispatch;
-                                }
-                                // Round-robin the orphans over the
-                                // survivors; the removal already slid
-                                // the next lane into slot i, so this
-                                // sweep continues without skipping it.
-                                let survivors = queues.len();
-                                for (k, t) in orphans.into_iter().enumerate() {
-                                    let (lane, queue) = &mut queues[k % survivors];
-                                    queue.push_back(t);
-                                    let lane = *lane;
-                                    machine.sched_note_enqueue(machine.host_now(), lane, t);
                                 }
                             }
                             Err(e) => return Err(e),
@@ -545,22 +405,19 @@ impl<'m> TileScheduler<'m> {
                         }) else {
                             // Every lane is dead; the last eviction is
                             // the fault that stranded this tile.
-                            let dead = *evicted.last().expect("emptied by eviction");
-                            if !fallback {
-                                return Err(FaultError::AccelDead { accel: dead }.into());
-                            }
-                            stranded.push((tile, dead));
+                            let dead = *losses.evicted.last().expect("emptied by eviction");
+                            losses.strand(dead, [tile])?;
                             break;
                         };
                         machine.sched_note_enqueue(machine.host_now(), lane, tile);
-                        match launch(machine, lane, tile, None) {
+                        match spawn(machine, lane, tile, None) {
                             Ok(d) => {
                                 dispatches.push(d);
                                 break;
                             }
                             Err(SimError::Fault(FaultError::AccelDead { .. })) => {
                                 live.retain(|&l| l != lane);
-                                evicted.push(lane);
+                                losses.evicted.push(lane);
                                 machine.recovery_note_evict(machine.host_now(), lane, 1);
                                 // Greedy has no queue to drain: the
                                 // bounced tile just re-picks among the
@@ -572,16 +429,7 @@ impl<'m> TileScheduler<'m> {
                 }
             }
             SchedPolicy::WorkStealing => {
-                let mut queues: Vec<(u16, VecDeque<u32>)> = lanes
-                    .iter()
-                    .copied()
-                    .zip(static_split(tiles, &lanes))
-                    .collect();
-                for (lane, queue) in &queues {
-                    for &tile in queue {
-                        machine.sched_note_enqueue(t0, *lane, tile);
-                    }
-                }
+                let mut queues = split_queues(machine, t0, tiles, &lanes);
                 let mut pending = tiles;
                 while pending > 0 {
                     // Lanes in becomes-free order; the first that can
@@ -630,40 +478,21 @@ impl<'m> TileScheduler<'m> {
                     let (i, tile, victim) =
                         choice.expect("some live lane always owns a runnable tile");
                     let lane = queues[i].0;
-                    match launch(machine, lane, tile, victim.map(|j| queues[j].0)) {
+                    match spawn(machine, lane, tile, victim.map(|j| queues[j].0)) {
                         Ok(d) => {
                             dispatches.push(d);
                             pending -= 1;
                         }
                         Err(SimError::Fault(FaultError::AccelDead { .. })) => {
                             // Put the tile back where it came from,
-                            // then evict the dead lane and round-robin
-                            // its deque over the survivors (whose
-                            // thieves rebalance it from there).
+                            // then evict the dead lane (the survivors'
+                            // thieves rebalance its deque from there).
                             match victim {
                                 Some(j) => queues[j].1.push_back(tile),
                                 None => queues[i].1.push_front(tile),
                             }
-                            let (dead, orphans) = queues.remove(i);
-                            evicted.push(dead);
-                            machine.recovery_note_evict(
-                                machine.host_now(),
-                                dead,
-                                orphans.len() as u32,
-                            );
-                            if queues.is_empty() {
-                                if !fallback {
-                                    return Err(FaultError::AccelDead { accel: dead }.into());
-                                }
-                                stranded.extend(orphans.into_iter().map(|t| (t, dead)));
+                            if !losses.evict(machine, &mut queues, i)? {
                                 break;
-                            }
-                            let survivors = queues.len();
-                            for (k, t) in orphans.into_iter().enumerate() {
-                                let (lane, queue) = &mut queues[k % survivors];
-                                queue.push_back(t);
-                                let lane = *lane;
-                                machine.sched_note_enqueue(machine.host_now(), lane, t);
                             }
                         }
                         Err(e) => return Err(e),
@@ -676,13 +505,17 @@ impl<'m> TileScheduler<'m> {
         // policy-independent, and the host-clock accounting matches
         // the hand-rolled dispatch-then-join-in-order frame loop.
         dispatches.sort_by_key(|d| d.tile);
-        let mut runs: Vec<(u16, u32, u64, u64)> = dispatches
+        let mut runs: Vec<(u16, u64, u64)> = dispatches
             .iter()
-            .map(|d| (d.handle.accel(), d.tile, d.handle.start(), d.handle.end()))
+            .map(|d| (d.handle.accel(), d.handle.start(), d.handle.end()))
             .collect();
         let mut results: Vec<Option<R>> = Vec::with_capacity(tiles as usize);
         results.resize_with(tiles as usize, || None);
-        let mut failed: Vec<(u32, u16)> = stranded;
+        let Losses {
+            evicted,
+            stranded: mut failed,
+            fallback,
+        } = losses;
         let mut first_err: Option<SimError> = None;
         for d in dispatches {
             let accel = d.handle.accel();
@@ -701,12 +534,12 @@ impl<'m> TileScheduler<'m> {
         }
 
         // Last resort: re-run every unrecovered tile on the host, in
-        // tile order, at the cost model's honest fallback penalty.
+        // tile order.
         failed.sort_by_key(|&(tile, _)| tile);
         for (tile, accel) in failed {
-            machine.recovery_note_fallback(machine.host_now(), accel, tile);
-            let r =
-                machine.run_host_fallback(accel, label, modes.clone(), |ctx| f(ctx, tile))??;
+            let modes = launch.modes.clone();
+            let r = machine
+                .run_host_fallback(accel, tile, launch.label, modes, |ctx| f(ctx, tile))??;
             results[tile as usize] = Some(r);
         }
         let results: Vec<R> = results
@@ -714,121 +547,156 @@ impl<'m> TileScheduler<'m> {
             .map(|r| r.expect("every tile either resolved or errored out above"))
             .collect();
 
-        // Reconstruct per-lane occupancy and note the idle gaps the
-        // trace's scheduler lanes render (zero simulated cost).
-        let finished_at = runs.iter().map(|&(_, _, _, end)| end).max().unwrap_or(t0);
-        runs.sort_by_key(|&(accel, _, start, _)| (accel, start));
-        let mut lane_reports = Vec::with_capacity(lanes.len());
-        for &lane in &lanes {
-            let mut cursor = t0;
-            let mut busy = 0u64;
-            let mut count = 0u32;
-            for &(accel, _, start, end) in runs.iter().filter(|&&(a, ..)| a == lane) {
-                debug_assert_eq!(accel, lane);
-                if start > cursor {
-                    machine.sched_note_idle(cursor, lane, start);
-                }
-                busy += end - start;
-                count += 1;
-                cursor = cursor.max(end);
-            }
-            if finished_at > cursor {
-                machine.sched_note_idle(cursor, lane, finished_at);
-            }
-            lane_reports.push(LaneReport {
-                accel: lane,
-                tiles: count,
-                busy,
-                idle: finished_at.saturating_sub(t0).saturating_sub(busy),
-            });
-        }
-
-        let s1 = *machine.stats();
+        // Per-lane occupancy, noting the idle gaps the trace's
+        // scheduler lanes render (zero simulated cost).
+        let named = lanes.iter().map(|&lane| (lane, launch.label));
+        let (lanes, finished_at) = fold_lanes(t0, named, &mut runs, |lane, from, until| {
+            machine.sched_note_idle(from, lane, until)
+        });
+        let (faults, retries, fallbacks) = recovery_since(machine, &s0);
         let report = SchedReport {
             policy,
             tiles,
-            accels: lane_count,
+            accels: lanes.len() as u16,
             cycles: machine.host_now() - t0,
             finished_at,
-            lanes: lane_reports,
+            lanes,
             steals,
             steal_cycles,
-            faults: s1.faults_injected - s0.faults_injected,
-            retries: s1.recovery_retries - s0.recovery_retries,
-            fallbacks: s1.recovery_fallbacks - s0.recovery_fallbacks,
+            faults,
+            retries,
+            fallbacks,
             evicted,
         };
         Ok((results, report))
     }
 }
 
-/// Runs one tile with the retry/backoff recovery loop: a transient
-/// fault (returned by the closure, or left sticky by a tag timeout)
-/// releases the tile's local-store allocations, quiesces the DMA
-/// engine, charges the backoff on the accelerator clock, and re-runs —
-/// up to `retries` times before the fault becomes the tile's result.
-/// Shared with the pipeline runtime (`crate::pipeline`), which passes a
-/// chunk index as `tile`.
-pub(crate) fn run_with_retries<R>(
-    ctx: &mut AccelCtx<'_>,
-    tile: u32,
-    retries: u32,
-    backoff: u64,
-    f: &mut dyn FnMut(&mut AccelCtx<'_>, u32) -> Result<R, SimError>,
-) -> Result<R, SimError> {
-    let mut attempt = 0u32;
-    loop {
-        let mark = ctx.local_alloc_mark();
-        let puts = ctx.put_journal_mark();
-        let err = match f(ctx, tile) {
-            Ok(r) => match ctx.take_fault() {
-                // A sticky timeout the closure never checked still
-                // fails the attempt: its data may be incomplete.
-                Some(fault) => SimError::from(fault),
-                None => {
-                    ctx.put_journal_commit(puts);
-                    return Ok(r);
-                }
-            },
-            Err(e) => e,
-        };
-        // Either way the failed attempt's in-flight transfers must
-        // land before anyone reuses this local store — the retry, the
-        // next tile on this lane, or the host fallback. A timeout
-        // rolled during the drain belongs to the same failed attempt,
-        // so it must not poison what comes next.
-        ctx.dma_wait_all();
-        ctx.take_fault();
-        // Void the failed attempt's main-memory puts: an in-place tile
-        // reads the range it writes, so whoever re-runs it — the retry
-        // here or the host fallback after us — must see the input the
-        // failed attempt started from, not its partial (or scribbled)
-        // output.
-        ctx.put_journal_rollback(puts)?;
-        let transient = matches!(&err, SimError::Fault(fault) if fault.is_transient());
-        if !transient || attempt >= retries {
-            return Err(err);
+/// What accelerator deaths did to a dispatch: the lanes evicted, in
+/// order, and the tiles stranded when none survived, each with the
+/// lane it was bound for, awaiting the host `fallback`.
+struct Losses {
+    evicted: Vec<u16>,
+    stranded: Vec<(u32, u16)>,
+    fallback: bool,
+}
+
+impl Losses {
+    /// Evicts queue `i`, whose accelerator just died, and round-robins
+    /// its tiles over the surviving queues. With no survivor the tiles
+    /// are stranded (`Ok(false)`).
+    fn evict(
+        &mut self,
+        machine: &mut Machine,
+        queues: &mut Vec<(u16, VecDeque<u32>)>,
+        i: usize,
+    ) -> Result<bool, SimError> {
+        let (dead, orphans) = queues.remove(i);
+        self.evicted.push(dead);
+        machine.recovery_note_evict(machine.host_now(), dead, orphans.len() as u32);
+        if queues.is_empty() {
+            self.strand(dead, orphans)?;
+            return Ok(false);
         }
-        ctx.local_alloc_restore(mark);
-        attempt += 1;
-        ctx.recovery_note_retry(tile, attempt, backoff);
-        ctx.compute(backoff);
+        let survivors = queues.len();
+        for (k, t) in orphans.into_iter().enumerate() {
+            let (lane, queue) = &mut queues[k % survivors];
+            queue.push_back(t);
+            machine.sched_note_enqueue(machine.host_now(), *lane, t);
+        }
+        Ok(true)
+    }
+
+    /// Strands `tiles` after the last live lane, `dead`, died; without
+    /// a host fallback the death is the dispatch's error.
+    fn strand(&mut self, dead: u16, tiles: impl IntoIterator<Item = u32>) -> Result<(), SimError> {
+        if !self.fallback {
+            return Err(FaultError::AccelDead { accel: dead }.into());
+        }
+        self.stranded.extend(tiles.into_iter().map(|t| (t, dead)));
+        Ok(())
     }
 }
 
-/// Block split of `tiles` over the lanes: lane `a` of `A` owns tiles
-/// `[T*a/A, T*(a+1)/A)`, front-to-back.
-fn static_split(tiles: u32, lanes: &[u16]) -> Vec<VecDeque<u32>> {
+/// Folds item runs `(accel, start, end)` into one [`LaneReport`] per
+/// `(accel, name)` lane, in lane order, passing every idle stretch to
+/// `gap(accel, from, until)`. Returns the rows and the cycle the last
+/// item finished (`t0` when none ran). Shared with the pipeline
+/// runtime (`crate::pipeline`).
+pub(crate) fn fold_lanes(
+    t0: u64,
+    lanes: impl Iterator<Item = (u16, &'static str)>,
+    runs: &mut [(u16, u64, u64)],
+    mut gap: impl FnMut(u16, u64, u64),
+) -> (Vec<LaneReport>, u64) {
+    let finished_at = runs.iter().map(|&(_, _, end)| end).max().unwrap_or(t0);
+    runs.sort_by_key(|&(accel, start, _)| (accel, start));
+    let rows = lanes
+        .map(|(accel, name)| {
+            let mut cursor = t0;
+            let mut busy = 0u64;
+            let mut items = 0u32;
+            for &(_, start, end) in runs.iter().filter(|&&(a, ..)| a == accel) {
+                if start > cursor {
+                    gap(accel, cursor, start);
+                }
+                busy += end - start;
+                items += 1;
+                cursor = cursor.max(end);
+            }
+            if finished_at > cursor {
+                gap(accel, cursor, finished_at);
+            }
+            LaneReport {
+                accel,
+                name,
+                items,
+                busy,
+                idle: finished_at.saturating_sub(t0).saturating_sub(busy),
+            }
+        })
+        .collect();
+    (rows, finished_at)
+}
+
+/// The faults injected, retries and host fallbacks the machine counted
+/// since `before`: the recovery totals of a [`SchedReport`] or a
+/// [`PipeReport`](crate::PipeReport).
+pub(crate) fn recovery_since(machine: &Machine, before: &MachineStats) -> (u64, u64, u64) {
+    let now = machine.stats();
+    (
+        now.faults_injected - before.faults_injected,
+        now.recovery_retries - before.recovery_retries,
+        now.recovery_fallbacks - before.recovery_fallbacks,
+    )
+}
+
+/// Block split of `tiles` over the lanes, one queue per lane: lane `a`
+/// of `A` owns tiles `[T*a/A, T*(a+1)/A)`, front-to-back. Every enqueue
+/// is noted at `t0`.
+fn split_queues(
+    machine: &mut Machine,
+    t0: u64,
+    tiles: u32,
+    lanes: &[u16],
+) -> Vec<(u16, VecDeque<u32>)> {
     let a = lanes.len() as u32;
     (0..a)
-        .map(|i| (tiles * i / a..tiles * (i + 1) / a).collect())
+        .zip(lanes)
+        .map(|(i, &lane)| {
+            let queue: VecDeque<u32> = (tiles * i / a..tiles * (i + 1) / a).collect();
+            for &tile in &queue {
+                machine.sched_note_enqueue(t0, lane, tile);
+            }
+            (lane, queue)
+        })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcell::{EventKind, MachineConfig};
+    use simcell::{EventKind, FaultPlan, MachineConfig};
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::default()).unwrap()
@@ -870,7 +738,7 @@ mod tests {
         assert_eq!(report.cycles, sched_cycles);
         assert_eq!(report.steals, 0);
         assert_eq!(report.lanes.len(), 4);
-        assert!(report.lanes.iter().all(|l| l.tiles == 1));
+        assert!(report.lanes.iter().all(|l| l.items == 1));
     }
 
     #[test]
@@ -910,7 +778,7 @@ mod tests {
         let (static_cycles, _) = run_policy(SchedPolicy::Static, &costs, 3);
         let (sq_cycles, report) = run_policy(SchedPolicy::ShortestQueue, &costs, 3);
         assert!(sq_cycles < static_cycles);
-        assert_eq!(report.lanes.iter().map(|l| l.tiles).sum::<u32>(), 6);
+        assert_eq!(report.lanes.iter().map(|l| l.items).sum::<u32>(), 6);
     }
 
     #[test]
@@ -1118,7 +986,7 @@ mod tests {
                 m.stats().recovery_evictions,
                 "{policy:?}"
             );
-            let ran: u32 = report.lanes.iter().map(|l| l.tiles).sum();
+            let ran: u32 = report.lanes.iter().map(|l| l.items).sum();
             assert_eq!(ran as u64 + report.fallbacks, 16, "{policy:?}");
         }
     }
@@ -1156,7 +1024,7 @@ mod tests {
         assert_eq!(results, vec![100, 101, 102, 103, 104, 105]);
         assert_eq!(report.evicted.len(), 3, "every lane died");
         assert_eq!(report.fallbacks, 6, "every tile degraded to the host");
-        assert_eq!(report.lanes.iter().map(|l| l.tiles).sum::<u32>(), 0);
+        assert_eq!(report.lanes.iter().map(|l| l.items).sum::<u32>(), 0);
     }
 
     #[test]
@@ -1165,7 +1033,7 @@ mod tests {
         let run = |plan: Option<FaultPlan>| {
             let mut m = machine();
             if let Some(p) = plan {
-                m.install_fault_plan(p);
+                m.install_fault_plan(p).unwrap();
             }
             let (_, report) = m
                 .offload(0)

@@ -2,6 +2,29 @@
 
 use dma::DmaTiming;
 
+use crate::error::SimError;
+
+/// The largest cycle amount a configuration may hold: 2^40 cycles, about
+/// six simulated minutes at 3.2 GHz. Every cost-model and DMA-timing
+/// field, fault stall, retry backoff and steal cost is checked against
+/// it where it enters a run, so a clock takes about 2^24 such charges to
+/// wrap.
+pub const MAX_CYCLES: u64 = 1 << 40;
+
+/// Checks one configured amount against [`MAX_CYCLES`].
+///
+/// # Errors
+///
+/// [`SimError::BadConfig`] naming `what` when `cycles` is larger.
+pub fn check_cycles(what: &str, cycles: u64) -> Result<(), SimError> {
+    if cycles > MAX_CYCLES {
+        return Err(SimError::BadConfig {
+            reason: format!("{what} of {cycles} cycles exceeds the {MAX_CYCLES}-cycle bound"),
+        });
+    }
+    Ok(())
+}
+
 /// Cycle costs of the simulated machine's operations.
 ///
 /// All constants live here so experiments can sweep them; the defaults
@@ -113,6 +136,36 @@ impl CostModel {
     /// Cycles for `n` arithmetic operations.
     pub fn arith_n(&self, n: u64) -> u64 {
         self.arith * n
+    }
+
+    /// Checks every field, the DMA timing's included, against
+    /// [`MAX_CYCLES`] ([`Machine::new`](crate::Machine::new) calls this).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BadConfig`] naming the first field out of bounds.
+    pub fn check(&self) -> Result<(), SimError> {
+        let dma = &self.dma;
+        [
+            ("arith", self.arith),
+            ("branch", self.branch),
+            ("ls_access", self.ls_access),
+            ("host_mem_access", self.host_mem_access),
+            ("offload_launch", self.offload_launch),
+            ("join_overhead", self.join_overhead),
+            ("vcall", self.vcall),
+            ("domain_lookup_base", self.domain_lookup_base),
+            ("domain_outer_entry", self.domain_outer_entry),
+            ("domain_inner_entry", self.domain_inner_entry),
+            ("host_fallback_factor", self.host_fallback_factor),
+            ("dma.issue_cost", dma.issue_cost),
+            ("dma.setup", dma.setup),
+            ("dma.latency", dma.latency),
+            ("dma.bytes_per_cycle", dma.bytes_per_cycle),
+            ("dma.misalign_penalty", dma.misalign_penalty),
+        ]
+        .into_iter()
+        .try_for_each(|(field, value)| check_cycles(field, value))
     }
 }
 

@@ -7,7 +7,7 @@ use softcache::{CacheBacking, CacheChoice, CacheError, SoftwareCache, TunedCache
 use crate::cost::CostModel;
 use crate::error::SimError;
 use crate::event::{CoreId, EventKind, EventLog};
-use crate::fault::{note_fault, DmaFault, FaultError, FaultKind, FaultPlane, RecoveryKind};
+use crate::fault::{note_fault, DmaFault, FaultError, FaultKind, FaultPlane};
 use crate::trace::MachineStats;
 
 /// DMA tag reserved for synchronous "outer" accesses (the naive
@@ -147,25 +147,6 @@ impl<'m> AccelCtx<'m> {
             Some(fault) => Err(fault.into()),
             None => Ok(()),
         }
-    }
-
-    /// Notes that the recovery layer is retrying `tile` on this
-    /// accelerator (zero simulated cost — the backoff itself is charged
-    /// separately by the caller, via [`AccelCtx::compute`]).
-    pub fn recovery_note_retry(&mut self, tile: u32, attempt: u32, backoff: u64) {
-        self.stats.recovery_retries += 1;
-        self.stats.recovery_backoff_cycles += backoff;
-        self.events.record(
-            self.now,
-            EventKind::RecoveryApplied {
-                accel: self.accel_index,
-                recovery: RecoveryKind::Retry {
-                    tile,
-                    attempt,
-                    backoff,
-                },
-            },
-        );
     }
 
     /// Notes that pipeline stage `stage` is about to stall for `cycles`
@@ -322,18 +303,13 @@ impl<'m> AccelCtx<'m> {
         self.ls.restore_alloc(mark);
     }
 
-    /// The put journal's current mark. While a fault plan is armed,
-    /// every `dma_put` records its destination's main-memory pre-image;
-    /// the recovery layer brackets each tile attempt with a mark so a
-    /// failed attempt's puts can be voided — see
-    /// [`AccelCtx::put_journal_rollback`]. Empty (and free) without a
-    /// plan.
-    pub fn put_journal_mark(&self) -> usize {
-        self.put_journal.len()
-    }
-
     /// Restores, newest-first, the main-memory pre-image of every put
-    /// recorded since `mark`, then forgets them. A failed tile attempt
+    /// recorded since the journal held `mark` entries, then forgets
+    /// them. While a fault plan is armed, every `dma_put` records its
+    /// destination's pre-image (the journal is empty, and free, without
+    /// one), and the recovery loop
+    /// ([`Launch::run_item`](crate::Launch::run_item)) brackets each
+    /// attempt with the journal's length. A failed tile attempt
     /// may have committed puts before it faulted (or scribbled its
     /// destination on a corrupted put); voiding them is what lets the
     /// retry — or the host fallback — re-read the exact input the
@@ -346,18 +322,12 @@ impl<'m> AccelCtx<'m> {
     ///
     /// Fails on bounds or space violations (the journaled ranges were
     /// valid when written, so failures indicate memory reconfiguration).
-    pub fn put_journal_rollback(&mut self, mark: usize) -> Result<(), SimError> {
+    pub(crate) fn put_journal_rollback(&mut self, mark: usize) -> Result<(), SimError> {
         while self.put_journal.len() > mark {
             let (addr, bytes) = self.put_journal.pop().expect("len > mark");
             self.main.write_bytes(addr, &bytes)?;
         }
         Ok(())
-    }
-
-    /// Forgets the pre-images recorded since `mark` without restoring
-    /// them: the attempt committed, its puts stand.
-    pub fn put_journal_commit(&mut self, mark: usize) {
-        self.put_journal.truncate(mark);
     }
 
     /// XORs the first quadword at `addr` (in `region`) with a marker —

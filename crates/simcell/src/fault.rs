@@ -42,13 +42,16 @@ use std::fmt;
 
 use xrng::Rng;
 
+use crate::cost::check_cycles;
+use crate::error::SimError;
 use crate::event::{EventKind, EventLog};
 use crate::trace::MachineStats;
 
 /// A seeded, declarative schedule of fault rates.
 ///
 /// Rates are per-operation probabilities in `[0, 1]`; a rate of zero
-/// disables that fault class without consuming any randomness. Build
+/// disables that fault class without consuming any randomness. A plan
+/// is checked ([`FaultPlan::check`]) before it is armed. Build
 /// one with [`FaultPlan::new`] plus the `with_*` setters, or
 /// [`FaultPlan::uniform`] for a quick storm.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -160,6 +163,32 @@ impl FaultPlan {
         self
     }
 
+    /// Checks the plan before it is armed: every rate must be finite
+    /// and within `0.0..=1.0`, and both stall amounts at most
+    /// [`MAX_CYCLES`](crate::cost::MAX_CYCLES).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BadConfig`] naming the first field out of range.
+    pub fn check(&self) -> Result<(), SimError> {
+        for (rate, value) in [
+            ("dma_corrupt", self.dma_corrupt),
+            ("dma_drop", self.dma_drop),
+            ("tag_timeout", self.tag_timeout),
+            ("accel_stall", self.accel_stall),
+            ("accel_death", self.accel_death),
+            ("ls_poison", self.ls_poison),
+        ] {
+            if !(0.0..=1.0).contains(&value) {
+                return Err(SimError::BadConfig {
+                    reason: format!("fault rate {rate} = {value} is not within 0..=1"),
+                });
+            }
+        }
+        check_cycles("timeout_stall", self.timeout_stall)?;
+        check_cycles("stall_cycles", self.stall_cycles)
+    }
+
     /// True if every rate is zero (the plan can never fire).
     pub fn is_quiet(&self) -> bool {
         self.dma_corrupt <= 0.0
@@ -172,7 +201,7 @@ impl FaultPlan {
 }
 
 /// A fault observed by running code, carried in
-/// [`SimError::Fault`](crate::SimError::Fault).
+/// [`SimError::Fault`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultError {
     /// A DMA transfer completed with corrupted payload.

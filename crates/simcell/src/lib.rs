@@ -63,16 +63,18 @@ pub mod error;
 pub mod event;
 pub mod fault;
 pub mod gather;
+pub mod launch;
 pub mod machine;
 pub mod trace;
 
-pub use cost::CostModel;
+pub use cost::{CostModel, MAX_CYCLES};
 pub use ctx::AccelCtx;
 pub use error::{DispatchFault, SimError};
 pub use event::{CoreId, Event, EventKind, EventLog};
 pub use fault::{FaultError, FaultKind, FaultPlan, RecoveryKind};
 pub use gather::{GatherDescriptor, GatherPlan};
-pub use machine::{Machine, MachineConfig, OffloadBuilder, OffloadHandle, OffloadParts};
+pub use launch::{Launch, LaunchSettings, RecoverySettings, MAX_RETRIES};
+pub use machine::{Machine, MachineConfig, OffloadBuilder, OffloadHandle};
 pub use memspace::{AccessMode, ModeDecl, ModeSet};
 pub use trace::{
     ascii_timeline, chrome_trace_json, parse_chrome_trace, AccessRecord, AccessTrace, ChromeEvent,

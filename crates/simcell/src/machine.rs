@@ -1,5 +1,7 @@
 //! The simulated machine: host core + accelerators.
 
+use std::ops::Range;
+
 use dma::{DmaEngine, DmaStats, RaceReport};
 use memspace::{AccessMode, Addr, MemoryRegion, ModeSet, Pod, SpaceId, SpaceKind};
 use softcache::CacheChoice;
@@ -10,6 +12,7 @@ use crate::error::SimError;
 use crate::event::{CoreId, EventKind, EventLog};
 use crate::fault::{note_fault, FaultError, FaultKind, FaultPlan, FaultPlane, RecoveryKind};
 use crate::gather::GatherPlan;
+use crate::launch::{Launch, LaunchSettings};
 use crate::trace::MachineStats;
 
 /// Machine shape and cost parameters.
@@ -109,7 +112,8 @@ impl<R> OffloadHandle<R> {
 }
 
 /// A fluent, in-flight offload: created by [`Machine::offload`], it
-/// accumulates the label and tuned-cache choice and launches with
+/// accumulates the label, the tuned-cache choice and the
+/// [`LaunchSettings`] (fault plan, access modes) and launches with
 /// [`OffloadBuilder::spawn`] (returning a joinable [`OffloadHandle`])
 /// or [`OffloadBuilder::run`] (spawn + join in one step).
 ///
@@ -131,11 +135,14 @@ impl<R> OffloadHandle<R> {
 pub struct OffloadBuilder<'m> {
     machine: &'m mut Machine,
     accel: u16,
-    label: &'static str,
-    cache: CacheChoice,
-    faults: Option<FaultPlan>,
-    modes: ModeSet,
     gathers: Vec<GatherPlan>,
+    launch: Launch,
+}
+
+impl LaunchSettings for OffloadBuilder<'_> {
+    fn launch_mut(&mut self) -> &mut Launch {
+        &mut self.launch
+    }
 }
 
 impl<'m> OffloadBuilder<'m> {
@@ -143,7 +150,7 @@ impl<'m> OffloadBuilder<'m> {
     /// `"calculateStrategy"` in the Figure 2 frame) instead of the
     /// generic `"offload"`. Cycle accounting is identical.
     pub fn label(mut self, name: &'static str) -> OffloadBuilder<'m> {
-        self.label = name;
+        self.launch.label = name;
         self
     }
 
@@ -156,52 +163,7 @@ impl<'m> OffloadBuilder<'m> {
     /// this cache; with the default [`CacheChoice::Naive`] they fall
     /// back to plain outer accesses and nothing is built.
     pub fn cache(mut self, choice: CacheChoice) -> OffloadBuilder<'m> {
-        self.cache = choice;
-        self
-    }
-
-    /// Installs `plan` on the machine right before launch, arming its
-    /// deterministic fault plane (see [`crate::fault`]). The plan
-    /// persists on the machine after the offload, so a sequence of
-    /// launches draws one continuous fault schedule; clear it with
-    /// [`Machine::clear_fault_plan`].
-    pub fn faults(mut self, plan: FaultPlan) -> OffloadBuilder<'m> {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Declares that the offload only *loads* from `[addr, addr+len)`.
-    ///
-    /// A read declaration is a license the runtime spends twice: tuned
-    /// caches serving the range never allocate dirty lines for it, and
-    /// accessors skip the write-back DMA entirely (counted in
-    /// [`crate::MachineStats::dma_writebacks_elided`]). It is also a
-    /// contract: once *any* mode is declared on an offload, a DMA put
-    /// into a read-declared (or undeclared) range fails with
-    /// [`SimError::UndeclaredWrite`] instead of silently journaling.
-    pub fn reads(mut self, addr: Addr, len: u32) -> OffloadBuilder<'m> {
-        self.modes.declare(addr, len, AccessMode::Read);
-        self
-    }
-
-    /// Declares that the offload *fully overwrites* `[addr, addr+len)`
-    /// without reading the previous contents.
-    ///
-    /// Under an armed fault plan the transactional put journal skips
-    /// the pre-image snapshot for such ranges (rollback restores them
-    /// by re-running the producer, not by copying bytes back), counted
-    /// in [`crate::MachineStats::journal_snapshots_skipped`].
-    pub fn writes(mut self, addr: Addr, len: u32) -> OffloadBuilder<'m> {
-        self.modes.declare(addr, len, AccessMode::Write);
-        self
-    }
-
-    /// Declares that the offload both reads and writes
-    /// `[addr, addr+len)` (a read-modify-write buffer). Updates keep
-    /// the full journaling discipline; the declaration's value is
-    /// making every *other* store site checkable.
-    pub fn updates(mut self, addr: Addr, len: u32) -> OffloadBuilder<'m> {
-        self.modes.declare(addr, len, AccessMode::Update);
+        self.launch.cache = choice;
         self
     }
 
@@ -219,31 +181,16 @@ impl<'m> OffloadBuilder<'m> {
     /// [`AccelCtx::gather`] directly.
     ///
     /// Declaring a gather also declares its main-memory span as
-    /// [`reads`](OffloadBuilder::reads): a gather is a declared read,
+    /// [`reads`](LaunchSettings::reads): a gather is a declared read,
     /// so the offload joins the strict access-mode contract and every
     /// *store* the kernel makes must be declared too.
     pub fn gather(mut self, base: Addr, elem_size: u32, indices: Vec<u32>) -> OffloadBuilder<'m> {
         let plan = GatherPlan::new(base, elem_size, indices);
         if let Some((start, len)) = plan.span() {
-            self.modes.declare(start, len, AccessMode::Read);
+            self.launch.modes.declare(start, len, AccessMode::Read);
         }
         self.gathers.push(plan);
         self
-    }
-
-    /// Replaces the builder's declarations with a prebuilt [`ModeSet`]
-    /// — the bulk form of [`OffloadBuilder::reads`] /
-    /// [`OffloadBuilder::writes`] / [`OffloadBuilder::updates`] used by
-    /// front-ends (schedulers, compiled offload-lang programs) that
-    /// assemble declarations away from the call site.
-    pub fn with_modes(mut self, modes: ModeSet) -> OffloadBuilder<'m> {
-        self.modes = modes;
-        self
-    }
-
-    /// The target accelerator index.
-    pub fn accel(&self) -> u16 {
-        self.accel
     }
 
     /// Launches the closure as an offload thread and returns the
@@ -257,25 +204,16 @@ impl<'m> OffloadBuilder<'m> {
     ///
     /// # Errors
     ///
-    /// Fails if the accelerator does not exist or the local store
+    /// Fails if [`Launch::arm`] rejects the launch (the accelerator does
+    /// not exist, or the fault plan is bad), or if the local store
     /// cannot fit the configured tuned cache.
     pub fn spawn<R>(
         self,
         f: impl FnOnce(&mut AccelCtx<'_>) -> R,
     ) -> Result<OffloadHandle<R>, SimError> {
-        let OffloadBuilder {
-            machine,
-            accel,
-            label,
-            cache,
-            faults,
-            modes,
-            gathers,
-        } = self;
-        if let Some(plan) = faults {
-            machine.install_fault_plan(plan);
-        }
-        machine.launch(accel, label, cache, modes, gathers, f)
+        self.launch.arm(self.machine, self.accel, 1)?;
+        self.machine
+            .launch(self.accel, self.launch, self.gathers, f)
     }
 
     /// Launches and joins immediately (no host work in between) — the
@@ -285,60 +223,41 @@ impl<'m> OffloadBuilder<'m> {
     ///
     /// As for [`OffloadBuilder::spawn`].
     pub fn run<R>(self, f: impl FnOnce(&mut AccelCtx<'_>) -> R) -> Result<R, SimError> {
-        let OffloadBuilder {
-            machine,
-            accel,
-            label,
-            cache,
-            faults,
-            modes,
-            gathers,
-        } = self;
-        if let Some(plan) = faults {
-            machine.install_fault_plan(plan);
+        let handle = OffloadBuilder {
+            machine: &mut *self.machine,
+            ..self
         }
-        let handle = machine.launch(accel, label, cache, modes, gathers, f)?;
-        Ok(machine.join(handle))
+        .spawn(f)?;
+        Ok(self.machine.join(handle))
     }
 
-    /// Dissolves the builder back into its parts, for scheduler
-    /// front-ends layered on top of the machine (e.g.
-    /// `offload_rt::sched`, which fans the configured label, cache
-    /// choice and fault plan out over several accelerators).
-    pub fn into_parts(self) -> OffloadParts<'m> {
-        OffloadParts {
-            machine: self.machine,
-            accel: self.accel,
-            label: self.label,
-            cache: self.cache,
-            faults: self.faults,
-            modes: self.modes,
-            gathers: self.gathers,
+    /// Hands the offload to a front-end that launches it on several
+    /// accelerators, such as `offload_rt`'s tile scheduler: checks and
+    /// arms the [`Launch`] for `lanes` accelerators from the builder's
+    /// own (`None`: every one from there up), then moves the machine,
+    /// the lane range and the launch across whole. Builder-declared
+    /// gathers run once per launch and do not fan out, so they are
+    /// refused.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BadConfig`] if gathers were declared; otherwise as
+    /// for [`Launch::arm`].
+    pub fn fan_out(
+        self,
+        lanes: Option<u16>,
+    ) -> Result<(&'m mut Machine, Range<u16>, Launch), SimError> {
+        if !self.gathers.is_empty() {
+            return Err(SimError::BadConfig {
+                reason: "builder-declared gathers do not fan out; gather inside each item \
+                         with AccelCtx::gather"
+                    .into(),
+            });
         }
+        let lanes = lanes.unwrap_or_else(|| self.machine.accel_count().saturating_sub(self.accel));
+        self.launch.arm(self.machine, self.accel, lanes)?;
+        Ok((self.machine, self.accel..self.accel + lanes, self.launch))
     }
-}
-
-/// The dissolved contents of an [`OffloadBuilder`], handed to
-/// scheduler front-ends by [`OffloadBuilder::into_parts`].
-///
-/// A struct rather than a tuple so front-ends keep compiling (and stay
-/// readable) as the builder grows new knobs.
-#[derive(Debug)]
-pub struct OffloadParts<'m> {
-    /// The machine the builder was created on.
-    pub machine: &'m mut Machine,
-    /// The accelerator the builder targeted.
-    pub accel: u16,
-    /// The configured label ("offload" when unset).
-    pub label: &'static str,
-    /// The configured tuned-cache choice.
-    pub cache: CacheChoice,
-    /// The fault plan to install before launching, if any.
-    pub faults: Option<FaultPlan>,
-    /// The declared access modes (empty = legacy permissive offload).
-    pub modes: ModeSet,
-    /// Gather plans declared on the builder, in declaration order.
-    pub gathers: Vec<GatherPlan>,
 }
 
 /// The simulated heterogeneous machine.
@@ -368,9 +287,11 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Rejects configurations with no accelerators, no main memory, or
-    /// staging buffers that do not fit the local store.
+    /// Rejects configurations with no accelerators, no main memory,
+    /// staging buffers that do not fit the local store, or a cost model
+    /// that fails [`CostModel::check`].
     pub fn new(config: MachineConfig) -> Result<Machine, SimError> {
+        config.cost.check()?;
         if config.accel_count == 0 {
             return Err(SimError::BadConfig {
                 reason: "at least one accelerator is required".into(),
@@ -580,8 +501,15 @@ impl Machine {
     /// every accelerator is revived. With no plan installed, every
     /// fault hook is a single always-false branch — the zero-cost
     /// guarantee the determinism tests pin.
-    pub fn install_fault_plan(&mut self, plan: FaultPlan) {
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BadConfig`] if the plan fails [`FaultPlan::check`];
+    /// nothing is installed then.
+    pub fn install_fault_plan(&mut self, plan: FaultPlan) -> Result<(), SimError> {
+        plan.check()?;
         self.faults.install(plan);
+        Ok(())
     }
 
     /// Disarms the fault plane and revives every accelerator.
@@ -655,7 +583,7 @@ impl Machine {
         self.events.note_static(self.host_now, text);
     }
 
-    fn check_accel(&self, index: u16) -> Result<(), SimError> {
+    pub(crate) fn check_accel(&self, index: u16) -> Result<(), SimError> {
         if index >= self.config.accel_count {
             return Err(SimError::NoSuchAccel {
                 index,
@@ -789,9 +717,10 @@ impl Machine {
 
     /// Begins a fluent offload onto accelerator `accel`.
     ///
-    /// The returned [`OffloadBuilder`] carries the optional label and
-    /// tuned-cache choice; finish it with [`OffloadBuilder::spawn`] (for
-    /// a joinable handle) or [`OffloadBuilder::run`] (spawn + join):
+    /// The returned [`OffloadBuilder`] carries the optional label,
+    /// tuned-cache choice and launch settings; finish it with
+    /// [`OffloadBuilder::spawn`] (for a joinable handle) or
+    /// [`OffloadBuilder::run`] (spawn + join):
     ///
     /// ```
     /// use simcell::{Machine, MachineConfig, SimError};
@@ -814,28 +743,23 @@ impl Machine {
         OffloadBuilder {
             machine: self,
             accel,
-            label: "offload",
-            cache: CacheChoice::Naive,
-            faults: None,
-            modes: ModeSet::new(),
             gathers: Vec::new(),
+            launch: Launch::default(),
         }
     }
 
-    /// The full launch path every offload goes through: charge the host
-    /// the launch overhead, run the closure on the accelerator clock
+    /// The full launch path every offload goes through once
+    /// [`Launch::arm`] has checked it: charge the host the launch
+    /// overhead, run the closure on the accelerator clock
     /// (building and flushing the builder's tuned cache around it), and
     /// hand back the joinable handle.
     fn launch<R>(
         &mut self,
         accel: u16,
-        name: &'static str,
-        choice: CacheChoice,
-        modes: ModeSet,
+        launch: Launch,
         gathers: Vec<GatherPlan>,
         f: impl FnOnce(&mut AccelCtx<'_>) -> R,
     ) -> Result<OffloadHandle<R>, SimError> {
-        self.check_accel(accel)?;
         // A launch on a known-dead accelerator fails fast and free: the
         // runtime already knows, so no launch overhead is charged.
         if self.faults.active() && self.faults.is_dead(accel) {
@@ -881,16 +805,17 @@ impl Machine {
                 start += plan.stall_cycles;
             }
         }
+        let name = launch.label;
         self.events
             .record(start, EventKind::OffloadStart { accel, name });
         let mark = self.accels[usize::from(accel)].ls.save_alloc();
-        let mut ctx = self.accel_ctx(accel, start, span, modes);
+        let mut ctx = self.accel_ctx(accel, start, span, launch.modes);
         // Building the cache is allocation only (zero cycles); the
         // closure, and the final dirty-line flush, run on the
         // accelerator clock. Builder-declared gather plans execute
         // first, on the accelerator clock, so their packed buffers are
         // ready when the kernel enters (see AccelCtx::gathered).
-        let outcome = match ctx.install_tuned(&choice) {
+        let outcome = match ctx.install_tuned(&launch.cache) {
             Err(e) => Err(e),
             Ok(()) => match gathers.iter().try_for_each(|plan| {
                 let local = ctx.gather(plan)?;
@@ -979,9 +904,12 @@ impl Machine {
         handle.result
     }
 
-    /// Runs `f` *on the host*, as the degraded form of an offload tile
-    /// whose accelerator has failed it — the recovery layer's last
-    /// resort (see `offload_rt::sched`).
+    /// Runs `f` *on the host*, as the degraded form of offload item
+    /// `item` (a tile, or a pipeline stage's chunk) whose accelerator has
+    /// failed it — the recovery layer's last resort (see
+    /// [`RecoverySettings`](crate::RecoverySettings)) and its one
+    /// host-fallback step: the fallback is counted and noted on the
+    /// faults lane, then run.
     ///
     /// The closure runs against accelerator `accel`'s context (its
     /// local store and DMA engine still work as scratch even when the
@@ -1003,12 +931,21 @@ impl Machine {
     pub fn run_host_fallback<R>(
         &mut self,
         accel: u16,
+        item: u32,
         name: &'static str,
         modes: ModeSet,
         f: impl FnOnce(&mut AccelCtx<'_>) -> R,
     ) -> Result<R, SimError> {
         self.check_accel(accel)?;
         let start = self.host_now;
+        self.stats.recovery_fallbacks += 1;
+        self.events.record(
+            start,
+            EventKind::RecoveryApplied {
+                accel,
+                recovery: RecoveryKind::HostFallback { tile: item },
+            },
+        );
         self.events.record(
             start,
             EventKind::SpanStart {
@@ -1050,12 +987,12 @@ impl Machine {
         Ok(self.accels[usize::from(accel)].busy_until)
     }
 
-    // ---- scheduler bookkeeping --------------------------------------------
+    // ---- front-end bookkeeping --------------------------------------------
     //
-    // Hooks for tile schedulers layered on top of the machine (see
-    // `offload_rt::sched`). All of them are pure bookkeeping — they
+    // Hooks for the tile scheduler and the pipeline in `offload_rt`, and
+    // for their recovery layer. All of them are pure bookkeeping — they
     // update the always-on counters and, when the event log is enabled,
-    // record structured scheduler events; no simulated cycles anywhere.
+    // record structured events; no simulated cycles anywhere.
 
     /// Notes that a scheduler placed `tile` on accelerator `accel`'s
     /// work queue at cycle `at`. Zero simulated cost.
@@ -1113,16 +1050,21 @@ impl Machine {
         );
     }
 
-    // ---- pipeline bookkeeping ---------------------------------------------
-    //
-    // Hooks for the streaming pipeline runtime (`offload_rt::pipeline`),
-    // mirroring the scheduler hooks above: counters always, structured
-    // events when the log is on; no simulated cycles anywhere.
-
     /// Notes that pipeline stage `stage` processed `chunk` on
-    /// accelerator `accel` over `[start, end]`. Zero simulated cost.
-    pub fn pipe_note_run(&mut self, start: u64, accel: u16, stage: u16, chunk: u32, end: u64) {
+    /// accelerator `accel` over `[start, end]`; with `last` the stage is
+    /// the pipeline's final one, so the chunk left the pipeline. Zero
+    /// simulated cost.
+    pub fn pipe_note_run(
+        &mut self,
+        start: u64,
+        accel: u16,
+        stage: u16,
+        chunk: u32,
+        end: u64,
+        last: bool,
+    ) {
         self.stats.pipe_stage_runs += 1;
+        self.stats.pipe_chunks += u64::from(last);
         self.events.record(
             start,
             EventKind::PipeRun {
@@ -1134,19 +1076,6 @@ impl Machine {
         );
     }
 
-    /// Notes that `chunk` cleared the pipeline's final stage at cycle
-    /// `at`. Zero simulated cost.
-    pub fn pipe_note_chunk(&mut self, at: u64, chunk: u32) {
-        let _ = (at, chunk);
-        self.stats.pipe_chunks += 1;
-    }
-
-    // ---- recovery bookkeeping ---------------------------------------------
-    //
-    // Zero-simulated-cost hooks for the recovery layer (retry/backoff/
-    // fallback in `offload_rt::sched`), mirroring the scheduler hooks
-    // above: counters always, structured events when the log is on.
-
     /// Notes that the scheduler evicted dead accelerator `accel` at
     /// cycle `at`, redistributing `tiles_moved` queued tiles. Zero
     /// simulated cost.
@@ -1157,21 +1086,6 @@ impl Machine {
             EventKind::RecoveryApplied {
                 accel,
                 recovery: RecoveryKind::Evict { tiles_moved },
-            },
-        );
-    }
-
-    /// Notes that `tile` was degraded to host execution after
-    /// accelerator `accel` failed it, at cycle `at`. Zero simulated
-    /// cost (the execution penalty is charged by
-    /// [`Machine::run_host_fallback`]).
-    pub fn recovery_note_fallback(&mut self, at: u64, accel: u16, tile: u32) {
-        self.stats.recovery_fallbacks += 1;
-        self.events.record(
-            at,
-            EventKind::RecoveryApplied {
-                accel,
-                recovery: RecoveryKind::HostFallback { tile },
             },
         );
     }
@@ -1758,7 +1672,7 @@ mod tests {
         let run = |plan: Option<FaultPlan>| {
             let mut m = machine();
             if let Some(p) = plan {
-                m.install_fault_plan(p);
+                m.install_fault_plan(p).unwrap();
             }
             let a = m.alloc_main_slice::<u32>(64).unwrap();
             m.main_mut().write_pod_slice(a, &vec![7u32; 64]).unwrap();
@@ -1785,7 +1699,8 @@ mod tests {
     fn accel_death_fails_launches_and_is_sticky() {
         use crate::fault::FaultPlan;
         let mut m = machine();
-        m.install_fault_plan(FaultPlan::new(1).with_accel_death(1.0));
+        m.install_fault_plan(FaultPlan::new(1).with_accel_death(1.0))
+            .unwrap();
         let err = m
             .offload(0)
             .run(|ctx| ctx.compute(1))
@@ -1810,7 +1725,8 @@ mod tests {
                 FaultPlan::new(2)
                     .with_accel_stall(1.0)
                     .with_stall_cycles(9_000),
-            );
+            )
+            .unwrap();
             let h = m.offload(0).spawn(|ctx| ctx.compute(100)).unwrap();
             h.start()
         };
@@ -1831,6 +1747,7 @@ mod tests {
         let v = m
             .run_host_fallback(
                 0,
+                7,
                 "tile-fallback",
                 ModeSet::new(),
                 |ctx| -> Result<u32, SimError> {
@@ -1860,7 +1777,8 @@ mod tests {
         let mut m = machine();
         m.events_mut().set_enabled(true);
         m.recovery_note_evict(100, 0, 3);
-        m.recovery_note_fallback(200, 0, 7);
+        m.run_host_fallback(0, 7, "tile-fallback", ModeSet::new(), |_| ())
+            .unwrap();
         assert_eq!(m.stats().recovery_evictions, 1);
         assert_eq!(m.stats().recovery_fallbacks, 1);
         let text: Vec<String> = m.events().events().iter().map(|e| e.to_string()).collect();
@@ -1949,7 +1867,8 @@ mod tests {
             accel_stall: 0.5,
             stall_cycles: 40,
             ..FaultPlan::new(7)
-        });
+        })
+        .unwrap();
         let a = m.alloc_main_slice::<u32>(64).unwrap();
         m.host_write_slice(a, &[3u32; 64]).unwrap();
         let _ = m.offload(0).label("dirty").run(|ctx| {
@@ -2210,7 +2129,7 @@ mod tests {
     fn gather_retry_run(plan: Option<crate::fault::FaultPlan>) -> (Vec<u32>, Addr) {
         let mut m = machine();
         if let Some(p) = plan {
-            m.install_fault_plan(p);
+            m.install_fault_plan(p).unwrap();
         }
         let a = m.alloc_main_slice::<u32>(512).unwrap();
         let values: Vec<u32> = (0..512).map(|i| i ^ 0xC0FFEE).collect();

@@ -1494,8 +1494,7 @@ mod tests {
     fn pipe_lane_round_trips() -> Result<(), SimError> {
         let mut m = Machine::new(MachineConfig::small())?;
         m.events_mut().set_enabled(true);
-        m.pipe_note_run(1000, 0, 1, 3, 1600);
-        m.pipe_note_chunk(1600, 3);
+        m.pipe_note_run(1000, 0, 1, 3, 1600, true);
         let json = chrome_trace_json(m.events());
         let events = parse_chrome_trace(&json).unwrap();
         let lane = pipe_tid(0);
@@ -1541,9 +1540,8 @@ mod tests {
             .any(|e| e.ph == 'X' && e.name == "input wait" && e.tid == pipe_tid(0)));
         let report = m.utilization_report();
         assert!(!report.contains("pipeline:"), "no runs -> no pipe section");
-        m.pipe_note_run(0, 0, 0, 0, 500);
-        m.pipe_note_run(500, 0, 1, 0, 900);
-        m.pipe_note_chunk(900, 0);
+        m.pipe_note_run(0, 0, 0, 0, 500, false);
+        m.pipe_note_run(500, 0, 1, 0, 900, true);
         assert!(m
             .utilization_report()
             .contains("pipeline: 2 stage runs over 1 chunks"));
@@ -1601,7 +1599,8 @@ mod tests {
         let m = Machine::new(MachineConfig::small())?;
         assert!(!m.utilization_report().contains("faults:"));
         let mut m = Machine::new(MachineConfig::small())?;
-        m.install_fault_plan(crate::fault::FaultPlan::new(9).with_accel_death(1.0));
+        m.install_fault_plan(crate::fault::FaultPlan::new(9).with_accel_death(1.0))
+            .unwrap();
         let _ = m.offload(0).run(|ctx| ctx.compute(1));
         let report = m.utilization_report();
         assert!(report.contains("faults: 1 injected"));

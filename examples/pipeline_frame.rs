@@ -79,7 +79,7 @@ fn main() -> Result<(), SimError> {
     for lane in &report.lanes {
         println!(
             "    accel {} [{:>7}]: {} chunks, {} busy cycles, {} idle",
-            lane.accel, lane.name, lane.chunks, lane.busy, lane.idle
+            lane.accel, lane.name, lane.items, lane.busy, lane.idle
         );
     }
 

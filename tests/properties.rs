@@ -8,7 +8,7 @@
 
 use offload_repro::dma::{DmaEngine, Tag};
 use offload_repro::memspace::{align_up, Addr, AddrRange, MemoryRegion, Pod, SpaceId, SpaceKind};
-use offload_repro::simcell::{Machine, MachineConfig, SimError};
+use offload_repro::simcell::{LaunchSettings, Machine, MachineConfig, SimError};
 use offload_repro::softcache::{
     CacheBacking, CacheConfig, SetAssociativeCache, SoftwareCache, WritePolicy,
 };
