@@ -31,10 +31,10 @@
 
 use gamekit::{
     ai_frame_sched, ai_frame_sched_recovering, ai_frame_sched_recovering_buffered, AiConfig,
-    EntityArray, WorldGen,
+    EntityArray, GameEntity, WorldGen,
 };
 use offload_rt::sched::{SchedPolicy, SchedReport};
-use simcell::{FaultPlan, Machine, MachineConfig, MachineStats};
+use simcell::{FaultPlan, Machine, MachineConfig, Snapshot};
 
 use crate::table::{cycles, speedup, Table};
 
@@ -53,13 +53,13 @@ pub const FAULT_SEED: u64 = 0xE16;
 pub const RATES: [f32; 4] = [0.0, 0.02, 0.05, 0.10];
 
 /// Runs one frame under `policy` with a uniform fault plan at `rate`
-/// (`None` = no plan armed at all); returns the scheduler report and
-/// the resulting world snapshot.
+/// (`None` = no plan armed at all); returns the scheduler report, the
+/// machine's snapshot and the resulting entities.
 pub fn measure(
     n: u32,
     policy: SchedPolicy,
     rate: Option<f32>,
-) -> (SchedReport, Vec<gamekit::GameEntity>) {
+) -> (SchedReport, Snapshot, Vec<GameEntity>) {
     let config = AiConfig::default();
     let mut machine = Machine::new(MachineConfig::default()).expect("config valid");
     let entities = EntityArray::alloc(&mut machine, n).expect("fits");
@@ -96,19 +96,20 @@ pub fn measure(
     };
     assert_eq!(machine.races_detected(), 0);
     let world = entities.snapshot(&machine).expect("snapshot reads");
-    (report, world)
+    (report, machine.snapshot(), world)
 }
 
 /// Runs the double-buffered E16 frame (sanitize pass + conservative
 /// table flush, decisions into a separate output array) at `rate`, with
-/// or without access-mode declarations; returns the report, the output
-/// world, and the machine counters (journal and elision columns).
+/// or without access-mode declarations; returns the report, the
+/// machine's snapshot (its counters fill the journal and elision
+/// columns) and the output entities.
 pub fn measure_buffered(
     n: u32,
     policy: SchedPolicy,
     rate: f32,
     declare_modes: bool,
-) -> (SchedReport, Vec<gamekit::GameEntity>, MachineStats) {
+) -> (SchedReport, Snapshot, Vec<GameEntity>) {
     let config = AiConfig::default();
     let mut machine = Machine::new(MachineConfig::default()).expect("config valid");
     let entities = EntityArray::alloc(&mut machine, n).expect("fits");
@@ -135,7 +136,7 @@ pub fn measure_buffered(
     .expect("recovery absorbs every fault");
     assert_eq!(machine.races_detected(), 0);
     let world = out.snapshot(&machine).expect("snapshot reads");
-    (report, world, *machine.stats())
+    (report, machine.snapshot(), world)
 }
 
 /// Runs E16.
@@ -165,44 +166,34 @@ pub fn run(quick: bool) -> Table {
         SchedPolicy::ShortestQueue,
         SchedPolicy::WorkStealing,
     ] {
-        let (clean, clean_world) = measure(n, policy, None);
+        let (clean, clean_state, clean_world) = measure(n, policy, None);
         for rate in RATES {
-            let (report, world) = measure(n, policy, Some(rate));
-            assert_eq!(
-                world,
-                clean_world,
-                "{} @ {rate}: recovery must reproduce the faultless world exactly",
-                policy.name()
-            );
-            if rate == 0.0 {
-                assert_eq!(
-                    report.cycles,
-                    clean.cycles,
-                    "{}: an armed all-zero plan must cost nothing",
-                    policy.name()
-                );
-            }
+            let at = format!("{} @ {rate}", policy.name());
+            let (report, state, _) = measure(n, policy, Some(rate));
+            let diff = if rate == 0.0 {
+                // An armed all-zero plan must cost nothing at all.
+                clean_state.diff(&state)
+            } else {
+                clean_state.memory().diff(state.memory())
+            };
+            diff.unwrap_or_else(|d| panic!("{at}: recovery must be exact and free: {d}"));
             // The double-buffered frame, undeclared vs mode-annotated:
             // identical worlds, but the declarations elide the
             // conservative flush and skip the output journal.
-            let (_, world_u, stats_u) = measure_buffered(n, policy, rate, false);
-            let (_, world_d, stats_d) = measure_buffered(n, policy, rate, true);
+            let (_, undeclared, world_u) = measure_buffered(n, policy, rate, false);
+            let (_, declared, _) = measure_buffered(n, policy, rate, true);
             assert_eq!(
-                world_u,
-                clean_world,
-                "{} @ {rate}: the buffered frame computes the same world",
-                policy.name()
+                world_u, clean_world,
+                "{at}: the buffered frame computes the same world"
             );
-            assert_eq!(
-                world_d,
-                clean_world,
-                "{} @ {rate}: access modes must not change the world",
-                policy.name()
-            );
+            undeclared
+                .memory()
+                .diff(declared.memory())
+                .unwrap_or_else(|d| panic!("{at}: access modes must not change the world: {d}"));
+            let (stats_u, stats_d) = (undeclared.stats(), declared.stats());
             assert!(
                 stats_d.journal_bytes <= stats_u.journal_bytes,
-                "{} @ {rate}: modes can only shrink the journal",
-                policy.name()
+                "{at}: modes can only shrink the journal"
             );
             table.push_row(vec![
                 policy.name().to_string(),
@@ -232,31 +223,35 @@ mod tests {
             SchedPolicy::ShortestQueue,
             SchedPolicy::WorkStealing,
         ] {
-            let (clean, clean_world) = measure(512, policy, None);
-            let (armed, armed_world) = measure(512, policy, Some(0.0));
-            assert_eq!(armed.cycles, clean.cycles, "{}", policy.name());
-            assert_eq!(armed_world, clean_world, "{}", policy.name());
+            let (_, clean, _) = measure(512, policy, None);
+            let (armed, armed_state, _) = measure(512, policy, Some(0.0));
+            clean
+                .diff(&armed_state)
+                .unwrap_or_else(|d| panic!("{}: {d}", policy.name()));
             assert_eq!(armed.faults, 0);
         }
     }
 
     #[test]
     fn recovery_reproduces_the_faultless_world_under_fire() {
-        let (_, clean_world) = measure(512, SchedPolicy::WorkStealing, None);
-        let (report, world) = measure(512, SchedPolicy::WorkStealing, Some(0.10));
+        let (_, clean, _) = measure(512, SchedPolicy::WorkStealing, None);
+        let (report, stormy, _) = measure(512, SchedPolicy::WorkStealing, Some(0.10));
         assert!(report.faults > 0, "a 10% rate must inject something");
         assert!(
             report.retries > 0 || report.fallbacks > 0,
             "and something must have recovered"
         );
-        assert_eq!(world, clean_world);
+        clean
+            .memory()
+            .diff(stormy.memory())
+            .unwrap_or_else(|d| panic!("{d}"));
     }
 
     #[test]
     fn overhead_rises_with_the_fault_rate() {
-        let (clean, _) = measure(512, SchedPolicy::Static, None);
-        let (low, _) = measure(512, SchedPolicy::Static, Some(0.02));
-        let (high, _) = measure(512, SchedPolicy::Static, Some(0.10));
+        let (clean, _, _) = measure(512, SchedPolicy::Static, None);
+        let (low, _, _) = measure(512, SchedPolicy::Static, Some(0.02));
+        let (high, _, _) = measure(512, SchedPolicy::Static, Some(0.10));
         assert!(low.cycles >= clean.cycles);
         assert!(
             high.cycles > clean.cycles,
@@ -269,12 +264,10 @@ mod tests {
 
     #[test]
     fn runs_are_bit_identical_across_repeats() {
-        let a = measure(512, SchedPolicy::WorkStealing, Some(0.05));
-        let b = measure(512, SchedPolicy::WorkStealing, Some(0.05));
-        assert_eq!(a.0.cycles, b.0.cycles);
-        assert_eq!(a.0.faults, b.0.faults);
-        assert_eq!(a.0.evicted, b.0.evicted);
-        assert_eq!(a.1, b.1);
+        let (report_a, a, _) = measure(512, SchedPolicy::WorkStealing, Some(0.05));
+        let (report_b, b, _) = measure(512, SchedPolicy::WorkStealing, Some(0.05));
+        a.diff(&b).unwrap_or_else(|d| panic!("{d}"));
+        assert_eq!(report_a, report_b);
     }
 
     #[test]
@@ -286,11 +279,14 @@ mod tests {
 
     #[test]
     fn mode_declarations_shrink_recovery_without_changing_the_world() {
-        let (undeclared, world_u, stats_u) =
+        let (undeclared, state_u, _) =
             measure_buffered(512, SchedPolicy::WorkStealing, 0.05, false);
-        let (declared, world_d, stats_d) =
-            measure_buffered(512, SchedPolicy::WorkStealing, 0.05, true);
-        assert_eq!(world_u, world_d, "modes must not change the world");
+        let (declared, state_d, _) = measure_buffered(512, SchedPolicy::WorkStealing, 0.05, true);
+        state_u
+            .memory()
+            .diff(state_d.memory())
+            .unwrap_or_else(|d| panic!("modes must not change the world: {d}"));
+        let (stats_u, stats_d) = (state_u.stats(), state_d.stats());
         assert!(
             stats_d.journal_bytes < stats_u.journal_bytes,
             "`write`-declared output skips snapshots: {} vs {}",

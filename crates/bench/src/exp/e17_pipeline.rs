@@ -24,7 +24,7 @@
 use gamekit::{
     staged_frame_fanout, staged_frame_pipeline, staged_frame_sequential, EntityArray, WorldGen,
 };
-use simcell::{Machine, MachineConfig};
+use simcell::{Machine, MachineConfig, MemorySnapshot};
 
 use crate::table::{cycles, speedup, Table};
 
@@ -42,35 +42,35 @@ fn world(n: u32) -> (Machine, EntityArray) {
 }
 
 /// Host cycles for the sequential stage-by-stage frame, plus the
-/// world's memory hash afterwards.
-pub fn measure_sequential(n: u32) -> (u64, u64) {
+/// world's memory afterwards.
+pub fn measure_sequential(n: u32) -> (u64, MemorySnapshot) {
     let (mut machine, entities) = world(n);
     let t = staged_frame_sequential(&mut machine, &entities, CHUNK).expect("fits");
     assert_eq!(machine.races_detected(), 0);
-    (t, machine.memory_hash())
+    (t, machine.memory_snapshot())
 }
 
 /// Host cycles for the pipelined frame with queues `buffers` deep,
-/// plus the memory hash and the charged stall cycles
+/// plus the world's memory and the charged stall cycles
 /// `(input_wait, backpressure)`.
-pub fn measure_pipeline(n: u32, buffers: u32) -> (u64, u64, (u64, u64)) {
+pub fn measure_pipeline(n: u32, buffers: u32) -> (u64, MemorySnapshot, (u64, u64)) {
     let (mut machine, entities) = world(n);
     let report = staged_frame_pipeline(&mut machine, &entities, CHUNK, buffers).expect("fits");
     assert_eq!(machine.races_detected(), 0);
     (
         report.cycles,
-        machine.memory_hash(),
+        machine.memory_snapshot(),
         (report.input_wait_cycles, report.backpressure_cycles),
     )
 }
 
-/// Host cycles for the barriered all-lanes fan-out, plus the memory
-/// hash.
-pub fn measure_fanout(n: u32) -> (u64, u64) {
+/// Host cycles for the barriered all-lanes fan-out, plus the world's
+/// memory.
+pub fn measure_fanout(n: u32) -> (u64, MemorySnapshot) {
     let (mut machine, entities) = world(n);
     let (t, _) = staged_frame_fanout(&mut machine, &entities, CHUNK).expect("fits");
     assert_eq!(machine.races_detected(), 0);
-    (t, machine.memory_hash())
+    (t, machine.memory_snapshot())
 }
 
 /// Runs E17.
@@ -92,9 +92,11 @@ pub fn run(quick: bool) -> Table {
             "backpressure cycles",
         ],
     );
-    let (seq, seq_hash) = measure_sequential(n);
-    let (fan, fan_hash) = measure_fanout(n);
-    assert_eq!(seq_hash, fan_hash, "fan-out must not change the world");
+    let (seq, seq_world) = measure_sequential(n);
+    let (fan, fan_world) = measure_fanout(n);
+    seq_world
+        .diff(&fan_world)
+        .unwrap_or_else(|d| panic!("fan-out must not change the world: {d}"));
     table.push_row(vec![
         "sequential (1 accel)".into(),
         "1".into(),
@@ -104,11 +106,10 @@ pub fn run(quick: bool) -> Table {
         "0".into(),
     ]);
     for buffers in [1u32, 2, 4] {
-        let (pipe, pipe_hash, (wait, bp)) = measure_pipeline(n, buffers);
-        assert_eq!(
-            seq_hash, pipe_hash,
-            "the pipeline must not change the world"
-        );
+        let (pipe, pipe_world, (wait, bp)) = measure_pipeline(n, buffers);
+        seq_world
+            .diff(&pipe_world)
+            .unwrap_or_else(|d| panic!("the pipeline must not change the world: {d}"));
         table.push_row(vec![
             format!("pipeline, {buffers}-deep queues"),
             "3".into(),
@@ -135,9 +136,11 @@ mod tests {
 
     #[test]
     fn pipeline_wins_by_the_budgeted_margin() {
-        let (seq, seq_hash) = measure_sequential(1024);
-        let (pipe, pipe_hash, _) = measure_pipeline(1024, 2);
-        assert_eq!(seq_hash, pipe_hash, "bit-identical world required");
+        let (seq, seq_world) = measure_sequential(1024);
+        let (pipe, pipe_world, _) = measure_pipeline(1024, 2);
+        seq_world
+            .diff(&pipe_world)
+            .unwrap_or_else(|d| panic!("bit-identical world required: {d}"));
         assert!(
             (pipe as f64) * 1.3 <= seq as f64,
             "the acceptance budget is 1.3x: pipeline {pipe} vs sequential {seq}"

@@ -31,7 +31,7 @@
 //! engine pays one descriptor per *run*.
 
 use gamekit::graph::{run_bfs, run_components, GraphAccess, InteractionGraph};
-use simcell::{Machine, MachineConfig};
+use simcell::{Machine, MachineConfig, MemorySnapshot};
 use softcache::{autotune, AccessRecord, CacheChoice, TuneOptions};
 
 use crate::table::{cycles, speedup, Table};
@@ -62,8 +62,8 @@ fn world(quick: bool) -> (Machine, InteractionGraph, memspace::Addr) {
 }
 
 /// Runs BFS + connected components under `access` on a fresh world and
-/// returns `(accel cycles, memory hash, gather plans issued)`.
-pub fn measure(quick: bool, access: &GraphAccess) -> (u64, u64, u64) {
+/// returns `(accel cycles, the world's memory, gather plans issued)`.
+pub fn measure(quick: bool, access: &GraphAccess) -> (u64, MemorySnapshot, u64) {
     let (mut machine, graph, out) = world(quick);
     let nodes = graph.nodes();
     let comp_out = out.element(nodes, 4).expect("in range");
@@ -72,7 +72,7 @@ pub fn measure(quick: bool, access: &GraphAccess) -> (u64, u64, u64) {
     run_components(&mut machine, &graph, comp_out, access).expect("traversal fits");
     (
         machine.stats().accel_busy_cycles,
-        machine.memory_hash(),
+        machine.memory_snapshot(),
         machine.stats().gathers,
     )
 }
@@ -126,13 +126,16 @@ pub fn run(quick: bool) -> Table {
             "configuration",
         ],
     );
-    let (naive, naive_hash, _) = measure(quick, &GraphAccess::Naive);
+    let (naive, naive_world, _) = measure(quick, &GraphAccess::Naive);
     let choice = tune(quick);
     let tuned_access = GraphAccess::Tuned(choice);
-    let (tuned, tuned_hash, _) = measure(quick, &tuned_access);
-    let (gather, gather_hash, plans) = measure(quick, &GraphAccess::Gather);
-    assert_eq!(naive_hash, tuned_hash, "tuned must not change the world");
-    assert_eq!(naive_hash, gather_hash, "gather must not change the world");
+    let (tuned, tuned_world, _) = measure(quick, &tuned_access);
+    let (gather, gather_world, plans) = measure(quick, &GraphAccess::Gather);
+    for (path, world) in [("tuned", tuned_world), ("gather", gather_world)] {
+        naive_world
+            .diff(&world)
+            .unwrap_or_else(|d| panic!("{path} must not change the world: {d}"));
+    }
     assert!(
         gather * 2 <= naive,
         "acceptance budget: gather {gather} must be >=2x cheaper than naive {naive}"
@@ -172,9 +175,11 @@ mod tests {
 
     #[test]
     fn gather_wins_by_the_budgeted_margin_and_hashes_agree() {
-        let (naive, naive_hash, _) = measure(true, &GraphAccess::Naive);
-        let (gather, gather_hash, plans) = measure(true, &GraphAccess::Gather);
-        assert_eq!(naive_hash, gather_hash, "bit-identical memory required");
+        let (naive, naive_world, _) = measure(true, &GraphAccess::Naive);
+        let (gather, gather_world, plans) = measure(true, &GraphAccess::Gather);
+        naive_world
+            .diff(&gather_world)
+            .unwrap_or_else(|d| panic!("bit-identical memory required: {d}"));
         assert!(plans > 0, "the gather variant must use the gather engine");
         assert!(
             gather * 2 <= naive,
@@ -184,11 +189,13 @@ mod tests {
 
     #[test]
     fn tuned_lands_between_naive_and_gather() {
-        let (naive, naive_hash, _) = measure(true, &GraphAccess::Naive);
+        let (naive, naive_world, _) = measure(true, &GraphAccess::Naive);
         let choice = tune(true);
-        let (tuned, tuned_hash, _) = measure(true, &GraphAccess::Tuned(choice));
+        let (tuned, tuned_world, _) = measure(true, &GraphAccess::Tuned(choice));
         let (gather, _, _) = measure(true, &GraphAccess::Gather);
-        assert_eq!(naive_hash, tuned_hash, "bit-identical memory required");
+        naive_world
+            .diff(&tuned_world)
+            .unwrap_or_else(|d| panic!("bit-identical memory required: {d}"));
         assert!(
             gather <= tuned && tuned < naive,
             "expected gather {gather} <= tuned {tuned} < naive {naive}"

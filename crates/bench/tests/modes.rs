@@ -17,7 +17,9 @@ use gamekit::{ai_frame_sched_recovering_buffered, AiConfig, EntityArray, WorldGe
 use memspace::AccessMode;
 use offload_rt::sched::SchedPolicy;
 use offload_rt::{ArrayAccessor, RemoteSlice};
-use simcell::{FaultPlan, LaunchSettings, Machine, MachineConfig, SimError};
+use simcell::{
+    FaultPlan, LaunchSettings, Machine, MachineConfig, MemorySnapshot, SimError, Snapshot,
+};
 use xrng::Rng;
 
 const LEN: u32 = 64;
@@ -137,7 +139,7 @@ fn conservative_flush_of_untouched_reads_buffer_is_elided() {
 #[test]
 fn mode_elision_cycles_on_a_read_only_tile() {
     const TILE: u32 = 2048;
-    let run = |declare: bool| -> (u64, u64) {
+    let run = |declare: bool| -> (u64, MemorySnapshot) {
         let mut machine = Machine::new(MachineConfig::small()).expect("config valid");
         let remote = machine.alloc_main_slice::<u32>(TILE).expect("fits");
         let values: Vec<u32> = (0..TILE).map(|v| v.wrapping_mul(7)).collect();
@@ -161,26 +163,20 @@ fn mode_elision_cycles_on_a_read_only_tile() {
             .expect("accel 0 exists");
         let elapsed = handle.elapsed();
         machine.join(handle).expect("tile succeeds");
-        (elapsed, machine.memory_hash())
+        (elapsed, machine.memory_snapshot())
     };
-    let (undeclared, undeclared_hash) = run(false);
-    let (declared, declared_hash) = run(true);
-    assert_eq!(
-        undeclared_hash, declared_hash,
-        "eliding the flush must not change a single byte"
-    );
+    let (undeclared, undeclared_world) = run(false);
+    let (declared, declared_world) = run(true);
+    undeclared_world
+        .diff(&declared_world)
+        .unwrap_or_else(|d| panic!("eliding the flush must not change a single byte: {d}"));
     assert_eq!(undeclared, 2048, "undeclared: fetch + full write-back");
     assert_eq!(declared, 1072, "declared: fetch only, write-back elided");
 }
 
 /// Runs the double-buffered recovering AI frame with a caller-chosen
 /// fault seed, with or without mode declarations.
-fn buffered_frame(
-    n: u32,
-    seed: u64,
-    rate: f32,
-    declare_modes: bool,
-) -> (Vec<gamekit::GameEntity>, u64, u64) {
+fn buffered_frame(n: u32, seed: u64, rate: f32, declare_modes: bool) -> Snapshot {
     let config = AiConfig::default();
     let mut machine = Machine::new(MachineConfig::default()).expect("config valid");
     let entities = EntityArray::alloc(&mut machine, n).expect("fits");
@@ -190,7 +186,7 @@ fn buffered_frame(
     let table = gen
         .candidate_table(&mut machine, n, config.candidates)
         .expect("fits");
-    let report = ai_frame_sched_recovering_buffered(
+    ai_frame_sched_recovering_buffered(
         &mut machine,
         &entities,
         &out,
@@ -206,8 +202,7 @@ fn buffered_frame(
     )
     .expect("recovery absorbs every fault");
     assert_eq!(machine.races_detected(), 0);
-    let world = out.snapshot(&machine).expect("snapshot reads");
-    (world, machine.stats().journal_bytes, report.cycles)
+    machine.snapshot()
 }
 
 /// The identity property: for random worlds, fault seeds, and fault
@@ -221,38 +216,44 @@ fn modes_replay_bit_identically_under_random_fault_storms() {
         let seed = rng.next_u64();
         let rate = rng.range_u32(0, 12) as f32 / 100.0;
         let n = 64 * rng.range_u32(2, 6);
-        let (world_u, journal_u, cycles_u) = buffered_frame(n, seed, rate, false);
-        let (world_d, journal_d, cycles_d) = buffered_frame(n, seed, rate, true);
-        assert_eq!(
-            world_u, world_d,
-            "round {round} (seed {seed:#x}, rate {rate}): modes changed the world"
+        let at = format!("round {round} (seed {seed:#x}, rate {rate})");
+        let undeclared = buffered_frame(n, seed, rate, false);
+        let declared = buffered_frame(n, seed, rate, true);
+        undeclared
+            .memory()
+            .diff(declared.memory())
+            .unwrap_or_else(|d| panic!("{at}: modes changed the world: {d}"));
+        let (journal_u, journal_d) = (
+            undeclared.stats().journal_bytes,
+            declared.stats().journal_bytes,
         );
         assert!(
             journal_d <= journal_u,
-            "round {round}: modes must never journal more ({journal_d} vs {journal_u})"
+            "{at}: modes must never journal more ({journal_d} vs {journal_u})"
         );
         // No cycle ordering is asserted: an elided transfer also skips
         // its fault-RNG draw, so the declared run sees a *different*
         // fault schedule and can retry more or less than the
         // undeclared one. What must hold is that its own replay is
         // exact.
-        let _ = (cycles_u, cycles_d);
-        // Replays of the declared run are themselves bit-identical.
-        let (world_d2, journal_d2, cycles_d2) = buffered_frame(n, seed, rate, true);
-        assert_eq!(world_d, world_d2);
-        assert_eq!(journal_d, journal_d2);
-        assert_eq!(cycles_d, cycles_d2);
+        declared
+            .diff(&buffered_frame(n, seed, rate, true))
+            .unwrap_or_else(|d| panic!("{at}: the declared replay diverged: {d}"));
     }
 }
 
 /// The E16 determinism diff the CI gate runs: the mode-annotated storm
-/// vs the undeclared baseline at the table's middle rate — equal world
-/// hashes, strictly fewer journal bytes, and real elided write-backs.
+/// vs the undeclared baseline at the table's middle rate — equal worlds,
+/// strictly fewer journal bytes, and real elided write-backs.
 #[test]
 fn e16_mode_annotated_storm_matches_undeclared_baseline() {
-    let (_, world_u, stats_u) = measure_buffered(512, SchedPolicy::WorkStealing, 0.05, false);
-    let (_, world_d, stats_d) = measure_buffered(512, SchedPolicy::WorkStealing, 0.05, true);
-    assert_eq!(world_u, world_d, "world hashes must be equal");
+    let (_, undeclared, _) = measure_buffered(512, SchedPolicy::WorkStealing, 0.05, false);
+    let (_, declared, _) = measure_buffered(512, SchedPolicy::WorkStealing, 0.05, true);
+    undeclared
+        .memory()
+        .diff(declared.memory())
+        .unwrap_or_else(|d| panic!("the worlds must be equal: {d}"));
+    let (stats_u, stats_d) = (undeclared.stats(), declared.stats());
     assert!(
         stats_d.journal_bytes < stats_u.journal_bytes,
         "modes must shrink the journal: {} vs {}",

@@ -7,7 +7,8 @@
 //! `machine.pipeline()` produces the same main-memory bytes as running
 //! the stages one after another. These tests draw random shapes from a
 //! seeded [`xrng::Rng`] and pin that equality, plus the determinism of
-//! the trace itself (same seed → same world hash → same Chrome JSON).
+//! the trace itself (same seed → same snapshot, event timeline
+//! included).
 
 use memspace::Addr;
 use offload_rt::pipeline::MachinePipelineExt;
@@ -122,11 +123,9 @@ fn pipeline_matches_sequential_for_random_shapes() {
         run_sequential(&mut seq, seq_addr, shape);
         let (mut pipe, pipe_addr) = seeded_world(world_seed, shape.len);
         let report = run_pipeline(&mut pipe, pipe_addr, shape, None);
-        assert_eq!(
-            seq.memory_hash(),
-            pipe.memory_hash(),
-            "worlds diverged at {shape:?} (report: {report:?})"
-        );
+        seq.memory_snapshot()
+            .diff(&pipe.memory_snapshot())
+            .unwrap_or_else(|d| panic!("worlds diverged at {shape:?} ({report:?}): {d}"));
         assert_eq!(pipe.races_detected(), 0, "no races at {shape:?}");
         assert_eq!(
             u64::from(report.chunks) * u64::from(report.stages),
@@ -151,17 +150,16 @@ fn faulted_pipeline_still_matches_sequential() {
         let (mut pipe, pipe_addr) = seeded_world(world_seed, shape.len);
         let plan = FaultPlan::uniform(0xDEC0 + round, 0.04);
         let report = run_pipeline(&mut pipe, pipe_addr, shape, Some(plan));
-        assert_eq!(
-            seq.memory_hash(),
-            pipe.memory_hash(),
-            "recovery must be exact at {shape:?} (report: {report:?})"
-        );
+        seq.memory_snapshot()
+            .diff(&pipe.memory_snapshot())
+            .unwrap_or_else(|d| panic!("recovery must be exact at {shape:?} ({report:?}): {d}"));
     }
 }
 
 /// Determinism of the run *and* its observability: the same seed gives
-/// the same world hash, the same report, and byte-identical Chrome
-/// trace JSON — and recording the trace costs zero simulated cycles.
+/// the same snapshot, event timeline included, and the same report,
+/// the timeline round-trips through the Chrome trace parser, and
+/// recording it costs zero simulated cycles.
 #[test]
 fn same_seed_same_world_hash_same_trace_json() {
     let mut rng = Rng::new(0x7_2ACE);
@@ -170,18 +168,21 @@ fn same_seed_same_world_hash_same_trace_json() {
         let (mut machine, addr) = seeded_world(0xCAFE, shape.len);
         machine.events_mut().set_enabled(trace);
         let report = run_pipeline(&mut machine, addr, shape, None);
-        let json = simcell::chrome_trace_json(machine.events());
-        (machine.world_hash(), report, json)
+        (machine, report)
     };
-    let (hash_a, report_a, json_a) = run_traced(true);
-    let (hash_b, report_b, json_b) = run_traced(true);
-    assert_eq!(hash_a, hash_b, "same seed, same world hash");
+    let (a, report_a) = run_traced(true);
+    let (b, report_b) = run_traced(true);
+    let (untraced, report_untraced) = run_traced(false);
+    let snapshot = a.snapshot();
+    snapshot
+        .diff(&b.snapshot())
+        .unwrap_or_else(|d| panic!("same seed: {d}"));
+    snapshot
+        .diff(&untraced.snapshot())
+        .unwrap_or_else(|d| panic!("tracing must be zero simulated cost: {d}"));
     assert_eq!(report_a, report_b, "same seed, same report");
-    assert_eq!(json_a, json_b, "same seed, byte-identical trace JSON");
-    let parsed = simcell::parse_chrome_trace(&json_a).expect("trace round-trips");
-    assert!(!parsed.is_empty());
-
-    let (hash_untraced, report_untraced, _) = run_traced(false);
-    assert_eq!(hash_a, hash_untraced, "tracing is zero simulated cost");
     assert_eq!(report_a, report_untraced);
+    let json = simcell::chrome_trace_json(a.events());
+    let parsed = simcell::parse_chrome_trace(&json).expect("trace round-trips");
+    assert!(!parsed.is_empty());
 }

@@ -266,13 +266,11 @@ mod tests {
         staged_frame_pipeline(&mut pipe, &e2, 64, 2).unwrap();
         let (mut fan, e3) = world(512);
         staged_frame_fanout(&mut fan, &e3, 64).unwrap();
-        assert_eq!(seq.memory_hash(), pipe.memory_hash());
-        assert_eq!(seq.memory_hash(), fan.memory_hash());
-        assert_eq!(
-            e1.snapshot(&seq).unwrap(),
-            e2.snapshot(&pipe).unwrap(),
-            "same entities out of the pipeline"
-        );
+        let seq = seq.memory_snapshot();
+        for (schedule, m) in [("pipeline", pipe), ("fan-out", fan)] {
+            seq.diff(&m.memory_snapshot())
+                .unwrap_or_else(|d| panic!("{schedule} vs sequential: {d}"));
+        }
     }
 
     #[test]

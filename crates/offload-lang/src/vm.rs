@@ -112,6 +112,16 @@ pub enum VmError {
         /// Function name.
         func: String,
     },
+    /// Hand-built bytecode reached an instruction its context cannot
+    /// run: an offload or `join` inside an offload body, or the end of
+    /// a `main` that returns no value. The compiler never emits these.
+    IllegalInstr {
+        /// The activation that reached it: the offload body running on
+        /// the accelerator, or `main`.
+        func: String,
+        /// The instruction.
+        instr: String,
+    },
     /// Underlying simulator failure (bounds, allocation, transfer…).
     Sim(SimError),
 }
@@ -139,6 +149,9 @@ impl std::fmt::Display for VmError {
             ),
             VmError::MissingReturn { func } => {
                 write!(f, "`{func}` ended without returning a value")
+            }
+            VmError::IllegalInstr { func, instr } => {
+                write!(f, "`{func}` reached `{instr}`, which it cannot run there")
             }
             VmError::Sim(err) => write!(f, "simulator error: {err}"),
         }
@@ -505,6 +518,19 @@ impl Env for HostEnv<'_> {
 struct AccelEnv<'a, 'm> {
     ctx: &'a mut AccelCtx<'m>,
     cache: Option<softcache::SetAssociativeCache>,
+    /// The offload body's name, for [`VmError::IllegalInstr`].
+    body: &'a str,
+}
+
+impl AccelEnv<'_, '_> {
+    /// Offloads and joins are host-only; only hand-built bytecode
+    /// reaches them on the accelerator.
+    fn illegal(&self, instr: Instr) -> VmError {
+        VmError::IllegalInstr {
+            func: self.body.to_string(),
+            instr: format!("{instr:?}"),
+        }
+    }
 }
 
 impl Env for AccelEnv<'_, '_> {
@@ -558,26 +584,26 @@ impl Env for AccelEnv<'_, '_> {
     fn exec_offload(
         &mut self,
         _vm: &mut Vm<'_>,
-        _func: FuncId,
-        _domain: DomainId,
+        func: FuncId,
+        domain: DomainId,
         _args: &[Value],
     ) -> Result<(), VmError> {
-        unreachable!("the compiler rejects nested offload blocks")
+        Err(self.illegal(Instr::Offload { func, domain }))
     }
 
     fn exec_offload_async(
         &mut self,
         _vm: &mut Vm<'_>,
-        _func: FuncId,
-        _domain: DomainId,
-        _slot: u16,
+        func: FuncId,
+        domain: DomainId,
+        slot: u16,
         _args: &[Value],
     ) -> Result<(), VmError> {
-        unreachable!("the compiler rejects nested offload blocks")
+        Err(self.illegal(Instr::OffloadAsync { func, domain, slot }))
     }
 
-    fn exec_join(&mut self, _slot: u16) -> Result<(), VmError> {
-        unreachable!("the compiler rejects `join` on the accelerator")
+    fn exec_join(&mut self, slot: u16) -> Result<(), VmError> {
+        Err(self.illegal(Instr::Join { slot }))
     }
 }
 
@@ -750,7 +776,10 @@ impl<'p> Vm<'p> {
         env.drain()?;
         match result {
             Some(v) => Ok(v.as_i()),
-            None => unreachable!("main returns int per the compiler"),
+            None => Err(VmError::IllegalInstr {
+                func: self.program.func(main).name.clone(),
+                instr: format!("{:?}", Instr::Ret { has_value: false }),
+            }),
         }
     }
 
@@ -784,7 +813,8 @@ impl<'p> Vm<'p> {
             OffloadCachePolicy::Naive => None,
             OffloadCachePolicy::Cached(config) => Some(ctx.new_cache(config)?),
         };
-        let mut env = AccelEnv { ctx, cache };
+        let body = self.program.func(func).name.as_str();
+        let mut env = AccelEnv { ctx, cache, body };
         self.exec(&mut env, func, args, stack, ACCEL_STACK, Some(domain))?;
         if let Some(mut cache) = env.cache.take() {
             env.ctx.cache_flush(&mut cache)?;

@@ -6,41 +6,32 @@
 //! observable of the simulated execution must be bit-identical:
 //!
 //! - exit value and printed output,
-//! - simulated host cycles ([`Machine::host_now`]),
 //! - retired instruction count (fused handlers bump the counter by
 //!   their full run width),
-//! - the Chrome-trace JSON of the event timeline, on a second pair of
+//! - the machine's [`Snapshot`]: clocks, counters, DMA statistics,
+//!   races and main memory, plus the event timeline on a second pair of
 //!   runs with the [`simcell::EventLog`] enabled. Enabling events also
 //!   disables the DMA synchronous fast path, so the corpus exercises
-//!   both the fast and the fully-journalled outer-access paths.
+//!   both the fast and the fully-journalled outer-access paths. A
+//!   mismatch names the first differing event, counter or memory chunk.
 //!
 //! The test also asserts that fusion actually fires across the corpus
 //! — a peephole pass that silently stopped matching would otherwise
 //! pass every identity check.
 
 use offload_lang::{compile, Program, Target, Vm};
-use simcell::{chrome_trace_json, Machine, MachineConfig};
+use simcell::{Machine, MachineConfig, Snapshot};
 use xrng::Rng;
 
-/// One full run; returns every scalar observable plus the trace JSON
-/// when `events` is on.
-fn run(program: &Program, events: bool) -> (i32, Vec<String>, u64, u64, String) {
+/// One full run: the VM's own observables (exit value, printed output,
+/// retired instructions) and the machine's snapshot.
+fn run(program: &Program, events: bool) -> ((i32, Vec<String>, u64), Snapshot) {
     let mut machine = Machine::new(MachineConfig::small()).unwrap();
     machine.events_mut().set_enabled(events);
     let mut vm = Vm::new(program, &mut machine).unwrap();
     let exit = vm.run(&mut machine).unwrap();
-    let trace = if events {
-        chrome_trace_json(machine.events())
-    } else {
-        String::new()
-    };
-    (
-        exit,
-        vm.output().to_vec(),
-        machine.host_now(),
-        vm.instructions_executed(),
-        trace,
-    )
+    let output = (exit, vm.output().to_vec(), vm.instructions_executed());
+    (output, machine.snapshot())
 }
 
 fn int_op(rng: &mut Rng) -> &'static str {
@@ -162,29 +153,19 @@ fn fusion_is_invisible_across_random_corpus() {
         );
         fused_total += fused.stats.superinstructions;
 
-        // Fast path (events off): exit, output, cycles, instructions.
-        let (exit_f, out_f, now_f, instrs_f, _) = run(&fused, false);
-        let (exit_p, out_p, now_p, instrs_p, _) = run(&plain, false);
-        assert_eq!(exit_f, exit_p, "case {case}: exit value diverged");
-        assert_eq!(out_f, out_p, "case {case}: printed output diverged");
-        assert_eq!(now_f, now_p, "case {case}: simulated cycles diverged");
-        assert_eq!(
-            instrs_f, instrs_p,
-            "case {case}: instruction count diverged"
-        );
-
-        // Journalled path (events on): all of the above plus the
-        // Chrome-trace JSON of the full event timeline.
-        let (exit_f, out_f, now_f, instrs_f, trace_f) = run(&fused, true);
-        let (exit_p, out_p, now_p, instrs_p, trace_p) = run(&plain, true);
-        assert_eq!(exit_f, exit_p, "case {case}: exit value diverged (events)");
-        assert_eq!(out_f, out_p, "case {case}: output diverged (events)");
-        assert_eq!(now_f, now_p, "case {case}: cycles diverged (events)");
-        assert_eq!(
-            instrs_f, instrs_p,
-            "case {case}: instructions diverged (events)"
-        );
-        assert_eq!(trace_f, trace_p, "case {case}: chrome trace diverged");
+        // The journalled path (events on) first, so a divergence names
+        // its first differing event; then the fast path (events off).
+        for events in [true, false] {
+            let (vm_f, machine_f) = run(&fused, events);
+            let (vm_p, machine_p) = run(&plain, events);
+            assert_eq!(
+                vm_f, vm_p,
+                "case {case} (events {events}): VM output diverged"
+            );
+            machine_f
+                .diff(&machine_p)
+                .unwrap_or_else(|d| panic!("case {case} (events {events}): {d}"));
+        }
     }
     assert!(
         fused_total > 100,

@@ -14,8 +14,8 @@ use offload_rt::pipeline::MachinePipelineExt;
 use offload_rt::sched::{SchedExt, SchedPolicy};
 use offload_rt::ArrayAccessor;
 use simcell::{
-    AccelCtx, CostModel, FaultPlan, LaunchSettings, Machine, MachineConfig, RecoverySettings,
-    SimError, MAX_CYCLES, MAX_RETRIES,
+    AccelCtx, CoreId, CostModel, EventKind, FaultPlan, LaunchSettings, Machine, MachineConfig,
+    RecoverySettings, SimError, MAX_CYCLES, MAX_RETRIES,
 };
 
 type Case = Box<dyn Fn(&mut Machine) -> Result<(), SimError>>;
@@ -304,4 +304,54 @@ fn a_refused_dispatch_leaves_no_plan_armed() {
         .run_tiles(4, |_, _| Ok(()));
     assert!(result.is_err(), "lanes 4..9 exceed a 6-accelerator machine");
     assert!(m.fault_plan().is_none());
+}
+
+/// A host fallback whose penalty overflows the host clock: one tile of
+/// 2^25 cycles at the largest legal penalty factor (2^40). It used to
+/// wrap the clock in release and panic in debug; now it is refused,
+/// the clock stays where the fallback started, and its span is closed.
+#[test]
+fn a_fallback_past_the_host_clock_is_refused() {
+    let config = MachineConfig {
+        cost: CostModel::cell_like().with_host_fallback_factor(MAX_CYCLES),
+        ..MachineConfig::default()
+    };
+    let mut m = Machine::new(config).expect("the factor is at the bound");
+    m.events_mut().set_enabled(true);
+    let t0 = Instant::now();
+    let result = m
+        .offload(0)
+        .faults(FaultPlan::new(1).with_accel_death(1.0))
+        .sched(SchedPolicy::Static)
+        .accels(1)
+        .fallback_host()
+        .run_tiles(1, |ctx, _| {
+            ctx.compute(1 << 25);
+            Ok(())
+        });
+    assert!(t0.elapsed() < Duration::from_secs(1));
+    assert!(
+        matches!(result, Err(SimError::BadConfig { .. })),
+        "{:?}",
+        result.map(drop)
+    );
+    let host_spans: Vec<_> = m
+        .events()
+        .events()
+        .iter()
+        .filter(|e| e.core() == CoreId::Host)
+        .filter(|e| {
+            matches!(
+                e.kind,
+                EventKind::SpanStart { .. } | EventKind::SpanEnd { .. }
+            )
+        })
+        .collect();
+    assert_eq!(host_spans.len(), 2, "{host_spans:?}");
+    let (open, close) = (host_spans[0], host_spans[1]);
+    assert!(matches!(open.kind, EventKind::SpanStart { .. }), "{open}");
+    assert!(matches!(close.kind, EventKind::SpanEnd { .. }), "{close}");
+    assert_eq!(close.at, open.at, "the span closes where it opened");
+    assert_eq!(m.host_now(), open.at, "the host clock did not move");
+    assert_eq!(m.stats().recovery_fallback_cycles, 0);
 }

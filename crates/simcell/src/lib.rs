@@ -65,6 +65,7 @@ pub mod fault;
 pub mod gather;
 pub mod launch;
 pub mod machine;
+pub mod snapshot;
 pub mod trace;
 
 pub use cost::{CostModel, MAX_CYCLES};
@@ -76,6 +77,7 @@ pub use gather::{GatherDescriptor, GatherPlan};
 pub use launch::{Launch, LaunchSettings, RecoverySettings, MAX_RETRIES};
 pub use machine::{Machine, MachineConfig, OffloadBuilder, OffloadHandle};
 pub use memspace::{AccessMode, ModeDecl, ModeSet};
+pub use snapshot::{Divergence, MemorySnapshot, Snapshot};
 pub use trace::{
     ascii_timeline, chrome_trace_json, parse_chrome_trace, AccessRecord, AccessTrace, ChromeEvent,
     MachineStats, TraceOp,

@@ -13,6 +13,9 @@ use crate::event::{CoreId, EventKind, EventLog};
 use crate::fault::{note_fault, FaultError, FaultKind, FaultPlan, FaultPlane, RecoveryKind};
 use crate::gather::GatherPlan;
 use crate::launch::{Launch, LaunchSettings};
+use crate::snapshot::{
+    chunk_digest, memory_digest, world_digest, AccelSnapshot, MemorySnapshot, Snapshot, CHUNK,
+};
 use crate::trace::MachineStats;
 
 /// Machine shape and cost parameters.
@@ -439,59 +442,84 @@ impl Machine {
         self.world_seed
     }
 
-    /// A 64-bit FNV-1a digest of the observable end-of-run state: every
-    /// allocated main-memory byte, the host clock, and each
-    /// accelerator's busy-cycle total. Two runs that diverge anywhere
-    /// the simulation can observe produce different digests, which is
-    /// what the farm determinism gate compares between a farm world and
-    /// its solo twin.
+    /// A digest of the observable end-of-run state: every allocated
+    /// main-memory byte, the host clock, and each accelerator's
+    /// busy-cycle total — the [`Snapshot::world_hash`] of
+    /// [`Machine::snapshot`], computed in place without allocating. Two
+    /// runs that diverge anywhere the simulation can observe produce
+    /// different digests, which is what the farm determinism gate
+    /// compares between a farm world and its solo twin. The digest is
+    /// four 64-bit lanes over little-endian words with a length
+    /// finaliser, applied per [`CHUNK`] of memory and then over the
+    /// chunk digests, the clock and the busy cycles (see
+    /// [`crate::snapshot`]).
     pub fn world_hash(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        let mut mix = |byte: u8| {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        };
-        let used = self.main.capacity() - self.main.bytes_free();
-        let bytes = self
-            .main
-            .read_bytes(Addr::new(SpaceId::MAIN, 0), used)
-            .expect("the allocated extent is in bounds");
-        for &byte in bytes {
-            mix(byte);
-        }
-        for byte in self.host_now.to_le_bytes() {
-            mix(byte);
-        }
-        for accel in &self.accels {
-            for byte in accel.busy_cycles.to_le_bytes() {
-                mix(byte);
-            }
-        }
-        hash
+        world_digest(
+            self.chunk_digests(),
+            self.host_now,
+            self.accels.iter().map(|accel| accel.busy_cycles),
+        )
     }
 
-    /// A 64-bit FNV-1a digest of every allocated main-memory byte —
-    /// [`Machine::world_hash`] without the clocks. Two executions that
-    /// schedule the same work differently (e.g. a pipeline vs. the same
-    /// stages run sequentially) necessarily differ in busy-cycle
-    /// totals, so `world_hash` cannot compare them; `memory_hash` is
-    /// the "same final world, different schedule" check.
+    /// A digest of every allocated main-memory byte —
+    /// [`Machine::world_hash`] without the clocks, and the
+    /// [`MemorySnapshot::hash`] of [`Machine::memory_snapshot`], computed
+    /// in place without allocating. Two executions that schedule the
+    /// same work differently (e.g. a pipeline vs. the same stages run
+    /// sequentially) necessarily differ in busy-cycle totals, so
+    /// `world_hash` cannot compare them; `memory_hash` is the "same
+    /// final world, different schedule" check.
     pub fn memory_hash(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        let used = self.main.capacity() - self.main.bytes_free();
-        let bytes = self
-            .main
-            .read_bytes(Addr::new(SpaceId::MAIN, 0), used)
-            .expect("the allocated extent is in bounds");
-        for &byte in bytes {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
+        memory_digest(self.chunk_digests()).finish()
+    }
+
+    /// Everything this run leaves behind that a second run of the same
+    /// work must reproduce: clocks, counters, DMA statistics, the race
+    /// count, main memory in digested chunks and, when it is on, the
+    /// event log. Compare two with [`Snapshot::diff`].
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            host_now: self.host_now,
+            accels: self
+                .accels
+                .iter()
+                .map(|accel| AccelSnapshot {
+                    busy_cycles: accel.busy_cycles,
+                    dma: accel.dma.stats(),
+                })
+                .collect(),
+            stats: self.stats,
+            races: self.races_detected(),
+            memory: self.memory_snapshot(),
+            events: self
+                .events
+                .is_enabled()
+                .then(|| self.events.events().to_vec()),
         }
-        hash
+    }
+
+    /// The memory-only view of [`Machine::snapshot`], for runs that
+    /// schedule the same work differently.
+    pub fn memory_snapshot(&self) -> MemorySnapshot {
+        let extent = self.extent();
+        MemorySnapshot {
+            len: extent.len() as u32,
+            chunks: self.chunk_digests().collect(),
+        }
+    }
+
+    /// The allocated main-memory extent.
+    fn extent(&self) -> &[u8] {
+        let used = self.main.capacity() - self.main.bytes_free();
+        self.main
+            .read_bytes(Addr::new(SpaceId::MAIN, 0), used)
+            .expect("the allocated extent is in bounds")
+    }
+
+    /// The digest of each [`CHUNK`] of the allocated extent, computed
+    /// on demand.
+    fn chunk_digests(&self) -> impl Iterator<Item = u64> + '_ {
+        self.extent().chunks(CHUNK as usize).map(chunk_digest)
     }
 
     // ---- fault plane -------------------------------------------------------
@@ -927,7 +955,9 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Fails if `accel` does not exist.
+    /// Fails if `accel` does not exist, or with [`SimError::BadConfig`]
+    /// if the penalty does not fit the host clock; the clock is then
+    /// left where the fallback started, and its span is closed there.
     pub fn run_host_fallback<R>(
         &mut self,
         accel: u16,
@@ -962,16 +992,29 @@ impl Machine {
         let elapsed = ctx.now - start;
         self.accels[usize::from(accel)].ls.restore_alloc(mark);
         self.faults.pop_suppress();
-        let penalty = elapsed.saturating_mul(self.config.cost.host_fallback_factor);
-        self.host_now = start + penalty;
-        self.stats.recovery_fallback_cycles += penalty;
+        let factor = self.config.cost.host_fallback_factor;
+        let charge = elapsed
+            .checked_mul(factor)
+            .and_then(|penalty| Some((penalty, start.checked_add(penalty)?)));
+        // The span closes either way: at the charged clock, or where it
+        // opened when the charge does not fit the clock.
         self.events.record(
-            self.host_now,
+            charge.map_or(start, |(_, end)| end),
             EventKind::SpanEnd {
                 core: CoreId::Host,
                 name,
             },
         );
+        let Some((penalty, end)) = charge else {
+            return Err(SimError::BadConfig {
+                reason: format!(
+                    "a host fallback of {elapsed} cycles at a {factor}x penalty overflows \
+                     the host clock at cycle {start}"
+                ),
+            });
+        };
+        self.host_now = end;
+        self.stats.recovery_fallback_cycles += penalty;
         Ok(result)
     }
 
@@ -1917,15 +1960,11 @@ mod tests {
         let mut fresh = Machine::new(config).unwrap();
         run_seeded_world(&mut fresh, 42);
 
-        assert_eq!(reused.world_hash(), fresh.world_hash());
-        assert_eq!(reused.stats(), fresh.stats());
-        assert_eq!(reused.host_now(), fresh.host_now());
+        reused
+            .snapshot()
+            .diff(&fresh.snapshot())
+            .unwrap_or_else(|d| panic!("reset vs fresh: {d}"));
         assert_eq!(reused.world_seed(), fresh.world_seed());
-        assert_eq!(
-            reused.accel_busy_cycles(0).unwrap(),
-            fresh.accel_busy_cycles(0).unwrap()
-        );
-        assert_eq!(reused.dma_stats(0).unwrap(), fresh.dma_stats(0).unwrap());
         assert_eq!(
             reused.ls_high_water(0).unwrap(),
             fresh.ls_high_water(0).unwrap()

@@ -10,7 +10,7 @@
 
 use dma::{Tag, TagMask};
 use memspace::Addr;
-use simcell::{GatherPlan, Machine, MachineConfig, MachineStats, SimError};
+use simcell::{GatherPlan, Machine, MachineConfig, SimError, Snapshot};
 use xrng::Rng;
 
 /// Bytes of main memory the transfers roam over.
@@ -20,12 +20,10 @@ const OPS: u32 = 48;
 /// Seeded cases.
 const CASES: u64 = 24;
 
-/// What one run leaves behind: accelerator cycles, a digest of every
-/// byte the kernel read back, the machine counters, the engine's
-/// counters, the races detected and the final main-memory digest.
-type Outcome = (u64, u64, MachineStats, dma::DmaStats, u64, u64);
-
-fn run(seed: u64, events: bool) -> Outcome {
+/// Runs one case and returns its snapshot, which also covers a digest
+/// of every byte the kernel read back (stored in main memory at the
+/// end), and the race count.
+fn run(seed: u64, events: bool) -> (Snapshot, u64) {
     let config = MachineConfig::small();
     let max_size = 2 * config.staging_size;
     let mut machine = Machine::new(config).expect("config valid");
@@ -37,9 +35,9 @@ fn run(seed: u64, events: bool) -> Outcome {
         .main_mut()
         .write_bytes(base, &fill)
         .expect("arena in bounds");
-    let (cycles, digest) = machine
+    let digest = machine
         .offload(0)
-        .run(|ctx| -> Result<(u64, u64), SimError> {
+        .run(|ctx| -> Result<u64, SimError> {
             let local = ctx.alloc_local(max_size, 16)?;
             let mut cache = ctx.new_cache(softcache::CacheConfig::direct_mapped_4k())?;
             let mut digest = 0u64;
@@ -107,18 +105,16 @@ fn run(seed: u64, events: bool) -> Outcome {
             }
             ctx.cache_flush(&mut cache)?;
             ctx.dma_wait(TagMask::ALL);
-            Ok((ctx.now(), digest))
+            Ok(digest)
         })
         .expect("launch succeeds")
         .expect("every transfer is valid");
-    (
-        cycles,
-        digest,
-        *machine.stats(),
-        machine.dma_stats(0).expect("accel 0 exists"),
-        machine.races_detected(),
-        machine.memory_hash(),
-    )
+    let read_back = machine.alloc_main_pod::<u64>().expect("fits");
+    machine
+        .main_mut()
+        .write_pod(read_back, &digest)
+        .expect("in bounds");
+    (machine.snapshot(), machine.races_detected())
 }
 
 #[test]
@@ -126,9 +122,12 @@ fn fused_and_split_staging_paths_agree_on_every_observable() {
     let mut races = 0;
     for case in 0..CASES {
         let seed = 0x57A6_0000 + case;
-        let fused = run(seed, false);
-        assert_eq!(fused, run(seed, true), "seed {seed:#x}");
-        races += fused.4;
+        let (fused, fused_races) = run(seed, false);
+        let (split, _) = run(seed, true);
+        fused
+            .diff(&split)
+            .unwrap_or_else(|d| panic!("seed {seed:#x}: {d}"));
+        races += fused_races;
     }
     assert!(races > 0, "in-flight explicit DMA must race somewhere");
 }

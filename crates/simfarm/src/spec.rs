@@ -108,8 +108,9 @@ impl WorldSpec {
 pub struct WorldOutput {
     /// The seed the world ran with.
     pub seed: u64,
-    /// FNV-1a digest of the machine's observable end state (see
-    /// [`simcell::Machine::world_hash`]).
+    /// Digest of the machine's observable end state: allocated main
+    /// memory, the host clock and each accelerator's busy cycles (see
+    /// [`simcell::Machine::world_hash`], the run snapshot's view).
     pub world_hash: u64,
     /// The machine's counter block at the end of the run.
     pub stats: MachineStats,

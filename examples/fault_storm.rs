@@ -16,9 +16,10 @@
 //! cycles, and the printout shows exactly how many.
 
 use offload_repro::gamekit::{
-    ai_frame_sched, ai_frame_sched_recovering, AiConfig, EntityArray, GameEntity, WorldGen,
+    ai_frame_sched, ai_frame_sched_recovering, AiConfig, EntityArray, WorldGen,
 };
 use offload_repro::offload_rt::prelude::*;
+use offload_repro::simcell::MemorySnapshot;
 
 const ENTITIES: u32 = 1024;
 const ACCELS: u16 = 6;
@@ -29,7 +30,7 @@ const TILES: u32 = 24;
 fn frame(
     policy: SchedPolicy,
     rate: Option<f32>,
-) -> Result<(SchedReport, Vec<GameEntity>), SimError> {
+) -> Result<(SchedReport, MemorySnapshot), SimError> {
     let config = AiConfig::default();
     let mut machine = Machine::new(MachineConfig::default())?;
     let entities = EntityArray::alloc(&mut machine, ENTITIES)?;
@@ -61,7 +62,7 @@ fn frame(
         )?,
     };
     assert_eq!(machine.races_detected(), 0);
-    Ok((report, entities.snapshot(&machine)?))
+    Ok((report, machine.memory_snapshot()))
 }
 
 fn main() -> Result<(), SimError> {
@@ -83,7 +84,9 @@ fn main() -> Result<(), SimError> {
             // tiles from a clean local-store mark and completed writes
             // overwrite any scribble damage, so the world matches the
             // faultless frame bit-for-bit at every rate.
-            assert_eq!(world, clean_world, "recovery must be exact");
+            clean_world
+                .diff(&world)
+                .unwrap_or_else(|d| panic!("recovery must be exact: {d}"));
             println!(
                 "    {rate:.2}   {:>8}   {:>7.3}x   {:>6}  {:>7}  {:>9}  {:>7}",
                 report.cycles,

@@ -45,7 +45,7 @@ fn main() -> Result<(), SimError> {
     // between stages.
     let (mut seq_machine, seq_entities) = build_world()?;
     let seq_cycles = staged_frame_sequential(&mut seq_machine, &seq_entities, CHUNK)?;
-    let seq_hash = seq_machine.memory_hash();
+    let seq_world = seq_machine.memory_snapshot();
     println!("  sequential (1 accel, full barriers): {seq_cycles} cycles\n");
 
     // The pipeline at increasing queue depths. Shallow queues
@@ -56,11 +56,9 @@ fn main() -> Result<(), SimError> {
     for buffers in [1u32, 2, 4] {
         let (mut machine, entities) = build_world()?;
         let report = staged_frame_pipeline(&mut machine, &entities, CHUNK, buffers)?;
-        assert_eq!(
-            machine.memory_hash(),
-            seq_hash,
-            "the pipeline must produce the sequential world bit for bit"
-        );
+        seq_world
+            .diff(&machine.memory_snapshot())
+            .unwrap_or_else(|d| panic!("the pipeline must produce the sequential world: {d}"));
         println!(
             "    {buffers:>7}   {:>6}   {:>6.3}x   {:>10}   {:>12}",
             report.cycles,
@@ -100,11 +98,9 @@ fn main() -> Result<(), SimError> {
         .backoff(1_000)
         .fallback_host()
         .run(base, len)?;
-    assert_eq!(
-        machine.memory_hash(),
-        seq_hash,
-        "recovery must be exact: the stormy pipeline matches the clean world"
-    );
+    seq_world
+        .diff(&machine.memory_snapshot())
+        .unwrap_or_else(|d| panic!("recovery must be exact: {d}"));
     assert_eq!(machine.races_detected(), 0);
     println!(
         "\n  under a 3% fault storm: {} cycles ({} faults, {} retries, {} host \
