@@ -17,7 +17,7 @@
 //!   the same answer the profiling tables reached by hand.
 
 use softcache::autotune::{autotune, replay_exact, TuneOptions};
-use softcache::{CacheChoice, CacheConfig};
+use softcache::CacheChoice;
 
 use crate::exp::{e07_softcache_matrix as e07, e12_cache_crossover as e12};
 use crate::table::{cycles, Table};
@@ -33,18 +33,6 @@ pub fn tune_options() -> TuneOptions {
     );
     debug_assert_eq!(opts.dma, simcell::CostModel::cell_like().dma);
     opts
-}
-
-/// The [`CacheChoice`] each hand-picked E7 column corresponds to.
-pub fn hand_choice(kind: &str) -> CacheChoice {
-    match kind {
-        "none" => CacheChoice::Naive,
-        "DM 4K" => CacheChoice::SetAssoc(CacheConfig::direct_mapped_4k()),
-        "2-way 8K" => CacheChoice::SetAssoc(CacheConfig::new(64, 64, 2)),
-        "4-way 16K" => CacheChoice::SetAssoc(CacheConfig::four_way_16k()),
-        "stream" => CacheChoice::Stream(CacheConfig::new(1024, 1, 1)),
-        other => unreachable!("unknown cache kind {other}"),
-    }
 }
 
 fn assert_bit_identical(context: &str, measured: u64, replayed: u64) {
@@ -90,7 +78,7 @@ pub fn e7_report(quick: bool) -> Table {
         for kind in e07::CACHES {
             let (measured, _) = e07::measure(kind, pattern, accesses);
             // Every cell must be reproduced exactly by trace replay.
-            let replayed = replay_exact(&hand_choice(kind), &trace, &opts)
+            let replayed = replay_exact(&e07::choice(kind), &trace, &opts)
                 .expect("replay of a measured config succeeds");
             assert_bit_identical(&format!("E7 {pattern}/{kind}"), measured, replayed);
             if measured < hand.1 {
@@ -100,7 +88,7 @@ pub fn e7_report(quick: bool) -> Table {
         let report = autotune(&trace, &opts).expect("search space is valid");
         let winner = report.winner();
         let tuned_cycles = winner.exact_cycles.expect("winner was validated");
-        let hand_family = hand_choice(hand.0).family();
+        let hand_family = e07::choice(hand.0).family();
         assert_eq!(
             winner.choice.family(),
             hand_family,
@@ -117,7 +105,7 @@ pub fn e7_report(quick: bool) -> Table {
             pattern.to_string(),
             hand.0.to_string(),
             cycles(hand.1),
-            cycles(replay_exact(&hand_choice(hand.0), &trace, &opts).expect("replay succeeds")),
+            cycles(replay_exact(&e07::choice(hand.0), &trace, &opts).expect("replay succeeds")),
             winner.choice.to_string(),
             cycles(tuned_cycles),
             cycles(winner.model_cycles),
@@ -171,12 +159,8 @@ pub fn e12_report(quick: bool) -> Table {
         let naive_replay =
             replay_exact(&CacheChoice::Naive, &trace, &opts).expect("naive replay succeeds");
         assert_bit_identical(&format!("E12 reuse={reuse} naive"), naive, naive_replay);
-        let cached_replay = replay_exact(
-            &CacheChoice::SetAssoc(CacheConfig::four_way_16k()),
-            &trace,
-            &opts,
-        )
-        .expect("cached replay succeeds");
+        let cached_replay =
+            replay_exact(&e12::cached_choice(), &trace, &opts).expect("cached replay succeeds");
         assert_bit_identical(&format!("E12 reuse={reuse} cached"), cached, cached_replay);
 
         let hand_family = if cached < naive {
@@ -242,7 +226,7 @@ mod tests {
         let opts = tune_options();
         for kind in e07::CACHES {
             let (measured, _) = e07::measure(kind, "sequential", 256);
-            let modeled = model_cycles(&hand_choice(kind), &trace, &opts).expect("trace is valid");
+            let modeled = model_cycles(&e07::choice(kind), &trace, &opts).expect("trace is valid");
             assert_eq!(modeled, measured, "model drifted for {kind}");
         }
     }

@@ -11,7 +11,7 @@ use gamekit::{GameEntity, WorldGen};
 use memspace::Addr;
 use offload_rt::{ArrayAccessor, RemoteSlice};
 use simcell::{Machine, MachineConfig, SimError};
-use softcache::CacheConfig;
+use softcache::{CacheChoice, CacheConfig};
 
 use crate::table::{cycles, speedup, Table};
 
@@ -119,18 +119,17 @@ fn accessor_plus_cache(rig: &mut Rig) -> u64 {
     let handle = rig
         .machine
         .offload(0)
+        .cache(CacheChoice::SetAssoc(CacheConfig::four_way_16k()))
         .spawn(move |ctx| -> Result<(), SimError> {
-            let mut cache = ctx.new_cache(CacheConfig::four_way_16k())?;
             let pointers = ArrayAccessor::<u32>::fetch(ctx, table, count)?;
             for i in 0..count {
                 let ptr = pointers.get(ctx, i)?;
                 let obj = Addr::new(memspace::SpaceId::MAIN, ptr);
-                let mut e: GameEntity = ctx.cached_read_pod(&mut cache, obj)?;
+                let mut e: GameEntity = ctx.cached_read_pod(obj)?;
                 apply_move(&mut e);
                 ctx.compute(MOVE_COMPUTE);
-                ctx.cached_write_pod(&mut cache, obj, &e)?;
+                ctx.cached_write_pod(obj, &e)?;
             }
-            ctx.cache_flush(&mut cache)?;
             Ok(())
         })
         .expect("accel 0 exists");

@@ -8,7 +8,7 @@
 //! family.
 
 use simcell::{Machine, MachineConfig, SimError};
-use softcache::{CacheConfig, SoftwareCache};
+use softcache::{CacheChoice, CacheConfig};
 
 use crate::table::{cycles, percent, Table};
 
@@ -59,48 +59,46 @@ fn offsets(pattern: &str, accesses: u32) -> Vec<u32> {
     }
 }
 
-/// `(total cycles, hit rate)` for one `(cache, pattern)` cell.
-pub fn measure(cache_kind: &str, pattern: &str, accesses: u32) -> (u64, f64) {
+/// The [`CacheChoice`] each profiled cache kind installs.
+pub fn choice(kind: &str) -> CacheChoice {
+    match kind {
+        "none" => CacheChoice::Naive,
+        "DM 4K" => CacheChoice::SetAssoc(CacheConfig::direct_mapped_4k()),
+        "2-way 8K" => CacheChoice::SetAssoc(CacheConfig::new(64, 64, 2)),
+        "4-way 16K" => CacheChoice::SetAssoc(CacheConfig::four_way_16k()),
+        "stream" => CacheChoice::Stream(CacheConfig::new(1024, 1, 1)),
+        other => unreachable!("unknown cache kind {other}"),
+    }
+}
+
+/// Runs `pattern`'s reads on a fresh machine with `kind`'s cache
+/// installed, optionally capturing the access trace; returns the
+/// machine and the cycles of the read loop.
+fn run_cell(kind: &str, pattern: &str, accesses: u32, capture: bool) -> (Machine, u64) {
     let mut machine = Machine::new(MachineConfig::small()).expect("config valid");
+    machine.access_trace_mut().set_enabled(capture);
     let data = machine.alloc_main(DATA, 16).expect("fits");
     let offsets = offsets(pattern, accesses);
-
-    let handle = machine
+    let cycles = machine
         .offload(0)
-        .spawn(|ctx| -> Result<(u64, f64), SimError> {
+        .cache(choice(kind))
+        .run(|ctx| -> Result<u64, SimError> {
             let t0 = ctx.now();
             let mut buf = [0u8; ACCESS];
-            match cache_kind {
-                "none" => {
-                    for &off in &offsets {
-                        ctx.outer_read_bytes(data.offset_by(off)?, &mut buf)?;
-                    }
-                    Ok((ctx.now() - t0, 0.0))
-                }
-                "stream" => {
-                    let mut cache = ctx.new_stream_cache(CacheConfig::new(1024, 1, 1))?;
-                    for &off in &offsets {
-                        ctx.cached_read_bytes(&mut cache, data.offset_by(off)?, &mut buf)?;
-                    }
-                    Ok((ctx.now() - t0, cache.stats().hit_rate()))
-                }
-                kind => {
-                    let config = match kind {
-                        "DM 4K" => CacheConfig::direct_mapped_4k(),
-                        "2-way 8K" => CacheConfig::new(64, 64, 2),
-                        "4-way 16K" => CacheConfig::four_way_16k(),
-                        other => unreachable!("unknown cache {other}"),
-                    };
-                    let mut cache = ctx.new_cache(config)?;
-                    for &off in &offsets {
-                        ctx.cached_read_bytes(&mut cache, data.offset_by(off)?, &mut buf)?;
-                    }
-                    Ok((ctx.now() - t0, cache.stats().hit_rate()))
-                }
+            for &off in &offsets {
+                ctx.cached_read_bytes(data.offset_by(off)?, &mut buf)?;
             }
+            Ok(ctx.now() - t0)
         })
-        .expect("accel 0 exists");
-    machine.join(handle).expect("pattern runs")
+        .expect("accel 0 exists")
+        .expect("pattern runs");
+    (machine, cycles)
+}
+
+/// `(total cycles, hit rate)` for one `(cache, pattern)` cell.
+pub fn measure(cache_kind: &str, pattern: &str, accesses: u32) -> (u64, f64) {
+    let (machine, cycles) = run_cell(cache_kind, pattern, accesses, false);
+    (cycles, machine.stats().cache_hit_rate())
 }
 
 /// Number of accesses E7 performs in quick/full mode.
@@ -117,21 +115,7 @@ pub fn access_count(quick: bool) -> u32 {
 /// the interposed cache differs), so capturing the naive run yields the
 /// trace that *any* candidate replays.
 pub fn capture_trace(pattern: &str, accesses: u32) -> Vec<softcache::AccessRecord> {
-    let mut machine = Machine::new(MachineConfig::small()).expect("config valid");
-    machine.access_trace_mut().set_enabled(true);
-    let data = machine.alloc_main(DATA, 16).expect("fits");
-    let offsets = offsets(pattern, accesses);
-    let handle = machine
-        .offload(0)
-        .spawn(|ctx| -> Result<(), SimError> {
-            let mut buf = [0u8; ACCESS];
-            for &off in &offsets {
-                ctx.outer_read_bytes(data.offset_by(off)?, &mut buf)?;
-            }
-            Ok(())
-        })
-        .expect("accel 0 exists");
-    machine.join(handle).expect("pattern runs");
+    let (machine, _) = run_cell("none", pattern, accesses, true);
     machine.access_trace().records().to_vec()
 }
 

@@ -9,7 +9,7 @@
 //! overhead; with any repetition it wins rapidly.
 
 use simcell::{Machine, MachineConfig, SimError};
-use softcache::CacheConfig;
+use softcache::{CacheChoice, CacheConfig};
 
 use crate::table::{cycles, speedup, Table};
 
@@ -20,38 +20,43 @@ pub const STRIDE: u32 = 128;
 /// Lines touched (exactly fills the 16 KiB cache).
 pub const LINES: u32 = 128;
 
+/// The hand-picked cache E12 measures against naive access.
+pub fn cached_choice() -> CacheChoice {
+    CacheChoice::SetAssoc(CacheConfig::four_way_16k())
+}
+
+/// Runs `reuse` passes over the set on a fresh machine with `choice`
+/// installed, optionally capturing the access trace (reads *and*
+/// per-access compute); returns the machine and the offload's cycles.
+fn run_passes(reuse: u32, choice: CacheChoice, capture: bool) -> (Machine, u64) {
+    let mut machine = Machine::new(MachineConfig::small()).expect("config valid");
+    machine.access_trace_mut().set_enabled(capture);
+    let data = machine.alloc_main(LINES * STRIDE, 16).expect("fits");
+    let handle = machine
+        .offload(0)
+        .cache(choice)
+        .spawn(|ctx| -> Result<(), SimError> {
+            let mut buf = [0u8; 16];
+            for _ in 0..reuse {
+                for line in 0..LINES {
+                    ctx.cached_read_bytes(data.offset_by(line * STRIDE)?, &mut buf)?;
+                    ctx.compute(8);
+                }
+            }
+            Ok(())
+        })
+        .expect("accel 0 exists");
+    let elapsed = handle.elapsed();
+    machine.join(handle).expect("runs");
+    (machine, elapsed)
+}
+
 /// `(naive cycles, cached cycles)` for `reuse` passes over the set.
 pub fn measure(reuse: u32) -> (u64, u64) {
-    let run = |cached: bool| -> u64 {
-        let mut machine = Machine::new(MachineConfig::small()).expect("config valid");
-        let data = machine.alloc_main(LINES * STRIDE, 16).expect("fits");
-        let handle = machine
-            .offload(0)
-            .spawn(|ctx| -> Result<(), SimError> {
-                let mut cache = if cached {
-                    Some(ctx.new_cache(CacheConfig::four_way_16k())?)
-                } else {
-                    None
-                };
-                let mut buf = [0u8; 16];
-                for _ in 0..reuse {
-                    for line in 0..LINES {
-                        let addr = data.offset_by(line * STRIDE)?;
-                        match &mut cache {
-                            Some(c) => ctx.cached_read_bytes(c, addr, &mut buf)?,
-                            None => ctx.outer_read_bytes(addr, &mut buf)?,
-                        }
-                        ctx.compute(8);
-                    }
-                }
-                Ok(())
-            })
-            .expect("accel 0 exists");
-        let elapsed = handle.elapsed();
-        machine.join(handle).expect("runs");
-        elapsed
-    };
-    (run(false), run(true))
+    (
+        run_passes(reuse, CacheChoice::Naive, false).1,
+        run_passes(reuse, cached_choice(), false).1,
+    )
 }
 
 /// The reuse factors E12 sweeps in quick/full mode.
@@ -63,28 +68,12 @@ pub fn reuse_factors(quick: bool) -> &'static [u32] {
     }
 }
 
-/// Captures the access trace (reads *and* per-access compute) of the
-/// naive run for the cache-policy autotuner. The cached run issues the
-/// identical access stream, so replaying this trace under any candidate
-/// reproduces that candidate's measured cycles.
+/// Captures the access trace of the naive run for the cache-policy
+/// autotuner. The cached run issues the identical access stream, so
+/// replaying this trace under any candidate reproduces that candidate's
+/// measured cycles.
 pub fn capture_trace(reuse: u32) -> Vec<softcache::AccessRecord> {
-    let mut machine = Machine::new(MachineConfig::small()).expect("config valid");
-    machine.access_trace_mut().set_enabled(true);
-    let data = machine.alloc_main(LINES * STRIDE, 16).expect("fits");
-    let handle = machine
-        .offload(0)
-        .spawn(|ctx| -> Result<(), SimError> {
-            let mut buf = [0u8; 16];
-            for _ in 0..reuse {
-                for line in 0..LINES {
-                    ctx.outer_read_bytes(data.offset_by(line * STRIDE)?, &mut buf)?;
-                    ctx.compute(8);
-                }
-            }
-            Ok(())
-        })
-        .expect("accel 0 exists");
-    machine.join(handle).expect("runs");
+    let (machine, _) = run_passes(reuse, CacheChoice::Naive, true);
     machine.access_trace().records().to_vec()
 }
 

@@ -19,6 +19,7 @@ use simcell::{
     chrome_trace_json, parse_chrome_trace, ChromeEvent, EventKind, FaultPlan, GatherPlan, Machine,
     MachineConfig, SimError,
 };
+use softcache::{CacheChoice, CacheConfig};
 
 /// Elements of the capture's main-memory array: large enough for an
 /// outer access spanning several 4 KiB staging chunks.
@@ -47,6 +48,7 @@ fn transfer_capture() -> Machine {
     machine
         .offload(0)
         .label("transfers")
+        .cache(CacheChoice::SetAssoc(CacheConfig::direct_mapped_4k()))
         .run(|ctx| -> Result<(), SimError> {
             let local = ctx.alloc_local_slice::<u32>(64)?;
             ctx.dma_get(local, at(0), 256, tag)?;
@@ -63,12 +65,11 @@ fn transfer_capture() -> Machine {
             ctx.outer_read_bytes(at(3), &mut several)?;
             ctx.outer_write_bytes(at(2049), &several)?;
 
-            let mut cache = ctx.new_cache(softcache::CacheConfig::direct_mapped_4k())?;
-            let cached: u32 = ctx.cached_read_pod(&mut cache, at(100))?;
-            ctx.cached_write_pod(&mut cache, at(101), &cached)?;
-            ctx.cached_read_bytes(&mut cache, at(600), &mut one)?;
-            ctx.cached_write_bytes(&mut cache, at(900), &one)?;
-            ctx.cache_flush(&mut cache)?;
+            let cached: u32 = ctx.cached_read_pod(at(100))?;
+            ctx.cached_write_pod(at(101), &cached)?;
+            ctx.cached_read_bytes(at(600), &mut one)?;
+            ctx.cached_write_bytes(at(900), &one)?;
+            ctx.cache_flush()?;
 
             ctx.gather(&GatherPlan::new(remote, 4, vec![40, 41, 42, 7, 300, 301]))?;
             Ok(())
@@ -404,14 +405,13 @@ fn machine_stats_agree_with_logged_cache_events() {
     machine.main_mut().write_pod_slice(remote, &values).unwrap();
     machine
         .offload(0)
+        .cache(CacheChoice::SetAssoc(CacheConfig::direct_mapped_4k()))
         .run(|ctx| -> Result<(), simcell::SimError> {
-            let mut cache = ctx.new_cache(softcache::CacheConfig::direct_mapped_4k())?;
             let mut sum = 0u64;
             for i in 0..1024u32 {
-                sum += u64::from(ctx.cached_read_pod::<u32, _>(&mut cache, remote.element(i, 4)?)?);
+                sum += u64::from(ctx.cached_read_pod::<u32>(remote.element(i, 4)?)?);
             }
             assert_eq!(sum, (0..1024u64).sum::<u64>());
-            ctx.cache_flush(&mut cache)?;
             Ok(())
         })
         .unwrap()

@@ -269,23 +269,13 @@ impl GraphAccess {
             GraphAccess::Gather => "gather",
         }
     }
-}
 
-/// The kernel-side access mode (the cache choice, if any, lives in the
-/// builder; inside the kernel only the read path matters).
-#[derive(Clone, Copy)]
-enum ReadPath {
-    Outer,
-    Cached,
-    Gather,
-}
-
-impl GraphAccess {
-    fn read_path(&self) -> ReadPath {
+    /// The cache the traversal's offload installs: the tuned choice, or
+    /// none, which makes every per-element read one outer access.
+    fn cache(&self) -> CacheChoice {
         match self {
-            GraphAccess::Naive => ReadPath::Outer,
-            GraphAccess::Tuned(_) => ReadPath::Cached,
-            GraphAccess::Gather => ReadPath::Gather,
+            GraphAccess::Tuned(choice) => *choice,
+            GraphAccess::Naive | GraphAccess::Gather => CacheChoice::Naive,
         }
     }
 }
@@ -296,55 +286,42 @@ struct CsrDesc {
     cols: Addr,
 }
 
-fn read_elem(
-    ctx: &mut AccelCtx<'_>,
-    base: Addr,
-    index: u32,
-    path: ReadPath,
-) -> Result<u32, SimError> {
-    let addr = base.element(index, 4)?;
-    match path {
-        ReadPath::Outer => ctx.outer_read_pod::<u32>(addr),
-        ReadPath::Cached => ctx.tuned_read_pod::<u32>(addr),
-        ReadPath::Gather => unreachable!("gather path never reads per element"),
-    }
+/// Reads one CSR element through the offload's installed cache, or as
+/// one outer access when it has none.
+fn read_elem(ctx: &mut AccelCtx<'_>, base: Addr, index: u32) -> Result<u32, SimError> {
+    ctx.cached_read_pod::<u32>(base.element(index, 4)?)
 }
 
 /// Expands one BFS frontier: returns the concatenated neighbour lists
 /// of `frontier`, charging [`NODE_COST`] per node and [`EDGE_COST`] per
-/// edge regardless of access path. This is the function E18 times — the
-/// three [`ReadPath`]s move identical bytes through entirely different
-/// machinery.
+/// edge regardless of access path. This is the function E18 times — per
+/// element reads (naive or cached) and batched gathers move identical
+/// bytes through entirely different machinery.
 fn frontier_neighbours(
     ctx: &mut AccelCtx<'_>,
     csr: CsrDesc,
     frontier: &[u32],
-    path: ReadPath,
+    gather: bool,
 ) -> Result<Vec<u32>, SimError> {
-    match path {
-        ReadPath::Outer | ReadPath::Cached => {
-            let mut neighbours = Vec::new();
-            for &v in frontier {
-                ctx.compute(NODE_COST);
-                let start = read_elem(ctx, csr.rows, v, path)?;
-                let end = read_elem(ctx, csr.rows, v + 1, path)?;
-                for j in start..end {
-                    ctx.compute(EDGE_COST);
-                    neighbours.push(read_elem(ctx, csr.cols, j, path)?);
-                }
-            }
-            Ok(neighbours)
-        }
-        ReadPath::Gather => {
-            // Everything gathered this level is scratch: release it
-            // before returning so deep traversals stay within the
-            // local store.
-            let mark = ctx.local_alloc_mark();
-            let result = gather_neighbours(ctx, csr, frontier);
-            ctx.local_alloc_restore(mark);
-            result
+    if gather {
+        // Everything gathered this level is scratch: release it before
+        // returning so deep traversals stay within the local store.
+        let mark = ctx.local_alloc_mark();
+        let result = gather_neighbours(ctx, csr, frontier);
+        ctx.local_alloc_restore(mark);
+        return result;
+    }
+    let mut neighbours = Vec::new();
+    for &v in frontier {
+        ctx.compute(NODE_COST);
+        let start = read_elem(ctx, csr.rows, v)?;
+        let end = read_elem(ctx, csr.rows, v + 1)?;
+        for j in start..end {
+            ctx.compute(EDGE_COST);
+            neighbours.push(read_elem(ctx, csr.cols, j)?);
         }
     }
+    Ok(neighbours)
 }
 
 fn gather_neighbours(
@@ -399,14 +376,14 @@ fn bfs_levels(
     csr: CsrDesc,
     nodes: u32,
     src: u32,
-    path: ReadPath,
+    gather: bool,
 ) -> Result<Vec<u32>, SimError> {
     let mut levels = vec![UNVISITED; nodes as usize];
     levels[src as usize] = 0;
     let mut frontier = vec![src];
     let mut depth = 0u32;
     while !frontier.is_empty() {
-        let neighbours = frontier_neighbours(ctx, csr, &frontier, path)?;
+        let neighbours = frontier_neighbours(ctx, csr, &frontier, gather)?;
         let mut next = Vec::new();
         for u in neighbours {
             if levels[u as usize] == UNVISITED {
@@ -447,15 +424,15 @@ pub fn run_bfs(
         cols: graph.col_indices(),
     };
     let nodes = graph.nodes();
-    let path = access.read_path();
-    let mut builder = machine.offload(0).label("graph_bfs");
-    if let GraphAccess::Tuned(choice) = access {
-        builder = builder.cache(*choice);
-    }
-    builder.run(move |ctx| -> Result<(), SimError> {
-        let levels = bfs_levels(ctx, csr, nodes, src, path)?;
-        write_out(ctx, out, &levels)
-    })?
+    let gather = matches!(access, GraphAccess::Gather);
+    machine
+        .offload(0)
+        .label("graph_bfs")
+        .cache(access.cache())
+        .run(move |ctx| -> Result<(), SimError> {
+            let levels = bfs_levels(ctx, csr, nodes, src, gather)?;
+            write_out(ctx, out, &levels)
+        })?
 }
 
 /// Offloads connected components over `graph`, writing each node's
@@ -475,33 +452,33 @@ pub fn run_components(
         cols: graph.col_indices(),
     };
     let nodes = graph.nodes();
-    let path = access.read_path();
-    let mut builder = machine.offload(0).label("graph_components");
-    if let GraphAccess::Tuned(choice) = access {
-        builder = builder.cache(*choice);
-    }
-    builder.run(move |ctx| -> Result<(), SimError> {
-        let mut comp = vec![UNVISITED; nodes as usize];
-        for root in 0..nodes {
-            if comp[root as usize] != UNVISITED {
-                continue;
-            }
-            comp[root as usize] = root;
-            let mut frontier = vec![root];
-            while !frontier.is_empty() {
-                let neighbours = frontier_neighbours(ctx, csr, &frontier, path)?;
-                let mut next = Vec::new();
-                for u in neighbours {
-                    if comp[u as usize] == UNVISITED {
-                        comp[u as usize] = root;
-                        next.push(u);
-                    }
+    let gather = matches!(access, GraphAccess::Gather);
+    machine
+        .offload(0)
+        .label("graph_components")
+        .cache(access.cache())
+        .run(move |ctx| -> Result<(), SimError> {
+            let mut comp = vec![UNVISITED; nodes as usize];
+            for root in 0..nodes {
+                if comp[root as usize] != UNVISITED {
+                    continue;
                 }
-                frontier = next;
+                comp[root as usize] = root;
+                let mut frontier = vec![root];
+                while !frontier.is_empty() {
+                    let neighbours = frontier_neighbours(ctx, csr, &frontier, gather)?;
+                    let mut next = Vec::new();
+                    for u in neighbours {
+                        if comp[u as usize] == UNVISITED {
+                            comp[u as usize] = root;
+                            next.push(u);
+                        }
+                    }
+                    frontier = next;
+                }
             }
-        }
-        write_out(ctx, out, &comp)
-    })?
+            write_out(ctx, out, &comp)
+        })?
 }
 
 #[cfg(test)]

@@ -256,6 +256,19 @@ impl MemoryRegion {
     ///
     /// Returns [`MemError::OutOfMemory`] when the region is exhausted.
     pub fn alloc(&mut self, size: u32, align: u32) -> Result<Addr, MemError> {
+        let addr = self.check_alloc(size, align)?;
+        self.next_free = addr.offset() + size;
+        self.high_water = self.high_water.max(self.next_free);
+        Ok(addr)
+    }
+
+    /// The address [`MemoryRegion::alloc`] would return for `size` bytes
+    /// at `align`, without allocating them.
+    ///
+    /// # Errors
+    ///
+    /// As for [`MemoryRegion::alloc`].
+    pub fn check_alloc(&self, size: u32, align: u32) -> Result<Addr, MemError> {
         let start = checked_align_up(self.id, self.next_free, align)?;
         let end = start.checked_add(size).ok_or(MemError::AddressOverflow {
             space: self.id,
@@ -269,8 +282,6 @@ impl MemoryRegion {
                 available: self.bytes_free(),
             });
         }
-        self.next_free = end;
-        self.high_water = self.high_water.max(end);
         Ok(Addr::new(self.id, start))
     }
 
@@ -503,6 +514,10 @@ mod tests {
         assert!(m.alloc(32, 1).is_ok());
         let err = m.alloc(64, 1).unwrap_err();
         assert!(matches!(err, MemError::OutOfMemory { .. }));
+        // The check agrees with the allocation and allocates nothing.
+        assert_eq!(m.check_alloc(64, 1), Err(err));
+        let next = m.check_alloc(16, 16).unwrap();
+        assert_eq!(m.alloc(16, 16).unwrap(), next);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! options:
 //!   --word N         compile for an N-byte word-addressed target (paper §5)
 //!   --byte-emulate   use byte-pointer emulation instead of the hybrid rules
-//!   --cache          route offloaded outer accesses through a software cache
+//!   --cache          install a direct-mapped 4 KiB software cache in
+//!                    every offload block (default: no cache)
 //!   --fuel N         instruction budget (default 500M)
 //! ```
 //!
@@ -19,8 +20,9 @@
 
 use std::process::ExitCode;
 
-use offload_lang::{compile, OffloadCachePolicy, Program, Target, Vm, WordStrategy};
+use offload_lang::{compile, Program, Target, Vm, WordStrategy};
 use simcell::{Machine, MachineConfig};
+use softcache::{CacheChoice, CacheConfig};
 
 struct Options {
     command: String,
@@ -33,6 +35,9 @@ struct Options {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: olc <check|run|dis|stats> FILE [--word N] [--byte-emulate] [--cache] [--fuel N]"
+    );
+    eprintln!(
+        "       --cache installs a direct-mapped 4 KiB software cache in every offload block"
     );
     ExitCode::from(64)
 }
@@ -146,9 +151,7 @@ fn main() -> ExitCode {
                 }
             };
             if options.cache {
-                vm.set_cache_policy(OffloadCachePolicy::Cached(
-                    softcache::CacheConfig::direct_mapped_4k(),
-                ));
+                vm.set_cache(CacheChoice::SetAssoc(CacheConfig::direct_mapped_4k()));
             }
             if let Some(fuel) = options.fuel {
                 vm.set_fuel(fuel);

@@ -76,4 +76,4 @@ pub mod vm;
 pub use compile::{compile, CompileStats, Program, Target, WordStrategy};
 pub use diag::{CompileError, ErrorKind};
 pub use span::Span;
-pub use vm::{OffloadCachePolicy, Vm, VmError};
+pub use vm::{Vm, VmError};

@@ -4,8 +4,9 @@
 //! runs against the host core's clock and memory path; `offload` blocks
 //! run on accelerator 0 with local-store frames, and their accesses to
 //! outer (host) data either pay a synchronous DMA round trip each
-//! ([`OffloadCachePolicy::Naive`]) or go "through a software cache"
-//! ([`OffloadCachePolicy::Cached`]) exactly as paper §3 describes.
+//! ([`CacheChoice::Naive`]) or go "through a software cache" exactly as
+//! paper §3 describes: the cache [`Vm::set_cache`] names, which every
+//! offload's launch installs.
 //!
 //! # Cost accounting
 //!
@@ -49,8 +50,8 @@
 //! execution.
 
 use memspace::{Addr, SpaceId};
-use simcell::{AccelCtx, CostModel, LaunchSettings, Machine, ModeSet, SimError};
-use softcache::CacheConfig;
+use simcell::{AccelCtx, CostModel, Launch, LaunchSettings, Machine, ModeSet, SimError};
+use softcache::CacheChoice;
 
 use crate::bytecode::{ArithF, ArithI, Cmp, DomainId, FuncId, Instr, SpaceTag, ValType};
 use crate::compile::Program;
@@ -67,17 +68,6 @@ const ACCEL_STACK: u32 = 48 * 1024;
 /// simulated memory). Kept modest so `Vm::new` stays cheap (the arena
 /// is zero-filled once per VM).
 const ARENA_WORDS: usize = 1 << 12;
-
-/// How offloaded code reaches outer (host) memory.
-#[derive(Clone, Copy, Debug, Default)]
-pub enum OffloadCachePolicy {
-    /// Every outer access is a synchronous DMA round trip.
-    #[default]
-    Naive,
-    /// Outer accesses go through a software cache of this geometry,
-    /// flushed when the offload block ends.
-    Cached(CacheConfig),
-}
 
 /// Errors raised during execution.
 #[derive(Clone, Debug)]
@@ -466,12 +456,12 @@ impl Env for HostEnv<'_> {
         domain: DomainId,
         args: &[Value],
     ) -> Result<(), VmError> {
-        let policy = vm.cache_policy;
         let modes = vm.mode_set_for(domain)?;
         self.machine
             .offload(0)
+            .cache(vm.cache)
             .with_modes(modes)
-            .run(|ctx| vm.run_on_accel(ctx, func, domain, policy, args))??;
+            .run(|ctx| vm.run_on_accel(ctx, func, domain, args))??;
         Ok(())
     }
 
@@ -483,7 +473,6 @@ impl Env for HostEnv<'_> {
         slot: u16,
         args: &[Value],
     ) -> Result<(), VmError> {
-        let policy = vm.cache_policy;
         let modes = vm.mode_set_for(domain)?;
         // Asynchronous offloads round-robin over the accelerators, so
         // several language-level handles genuinely overlap.
@@ -492,8 +481,9 @@ impl Env for HostEnv<'_> {
         let handle = self
             .machine
             .offload(accel)
+            .cache(vm.cache)
             .with_modes(modes)
-            .spawn(|ctx| vm.run_on_accel(ctx, func, domain, policy, args))?;
+            .spawn(|ctx| vm.run_on_accel(ctx, func, domain, args))?;
         if usize::from(slot) >= self.pending.len() {
             self.pending.resize_with(usize::from(slot) + 1, || None);
         }
@@ -517,7 +507,6 @@ impl Env for HostEnv<'_> {
 
 struct AccelEnv<'a, 'm> {
     ctx: &'a mut AccelCtx<'m>,
-    cache: Option<softcache::SetAssociativeCache>,
     /// The offload body's name, for [`VmError::IllegalInstr`].
     body: &'a str,
 }
@@ -557,10 +546,7 @@ impl Env for AccelEnv<'_, '_> {
             }
             return Ok(self.ctx.local_read_bytes(addr, out)?);
         }
-        match &mut self.cache {
-            Some(cache) => Ok(self.ctx.cached_read_bytes(cache, addr, out)?),
-            None => Ok(self.ctx.outer_read_bytes(addr, out)?),
-        }
+        Ok(self.ctx.cached_read_bytes(addr, out)?)
     }
 
     #[inline(always)]
@@ -571,10 +557,7 @@ impl Env for AccelEnv<'_, '_> {
             }
             return Ok(self.ctx.local_write_bytes(addr, data)?);
         }
-        match &mut self.cache {
-            Some(cache) => Ok(self.ctx.cached_write_bytes(cache, addr, data)?),
-            None => Ok(self.ctx.outer_write_bytes(addr, data)?),
-        }
+        Ok(self.ctx.cached_write_bytes(addr, data)?)
     }
 
     fn alloc(&mut self, size: u32, align: u32) -> Result<Addr, VmError> {
@@ -702,7 +685,7 @@ pub struct Vm<'p> {
     host_stack: Addr,
     output: Vec<String>,
     fuel: u64,
-    cache_policy: OffloadCachePolicy,
+    cache: CacheChoice,
     /// Instructions executed so far (fused superinstructions count as
     /// their full unfused width).
     executed: u64,
@@ -733,7 +716,7 @@ impl<'p> Vm<'p> {
             host_stack,
             output: Vec::new(),
             fuel: 500_000_000,
-            cache_policy: OffloadCachePolicy::default(),
+            cache: CacheChoice::Naive,
             executed: 0,
             arena: FrameArena::new(),
             arg_scratch: Vec::new(),
@@ -741,9 +724,12 @@ impl<'p> Vm<'p> {
         })
     }
 
-    /// Sets the outer-access policy for offload blocks.
-    pub fn set_cache_policy(&mut self, policy: OffloadCachePolicy) {
-        self.cache_policy = policy;
+    /// Sets the software cache every offload block installs for its
+    /// outer accesses (default [`CacheChoice::Naive`]: each one is a
+    /// synchronous DMA round trip). Any choice applies — hand-picked,
+    /// or the autotuner's winner for the program's access trace.
+    pub fn set_cache(&mut self, choice: CacheChoice) {
+        self.cache = choice;
     }
 
     /// Sets the instruction budget.
@@ -767,8 +753,15 @@ impl<'p> Vm<'p> {
     ///
     /// # Errors
     ///
-    /// Propagates any [`VmError`].
+    /// Propagates any [`VmError`]. A cache some accelerator's local
+    /// store cannot hold is refused before any instruction runs.
     pub fn run(&mut self, machine: &mut Machine) -> Result<i32, VmError> {
+        // Asynchronous offloads round-robin over every accelerator.
+        let launch = Launch {
+            cache: self.cache,
+            ..Launch::default()
+        };
+        launch.arm(machine, 0, machine.accel_count())?;
         let main = self.program.main;
         let mut env = HostEnv::new(machine);
         let stack = self.host_stack;
@@ -805,20 +798,12 @@ impl<'p> Vm<'p> {
         ctx: &mut AccelCtx<'_>,
         func: FuncId,
         domain: DomainId,
-        policy: OffloadCachePolicy,
         args: &[Value],
     ) -> Result<(), VmError> {
         let stack = ctx.alloc_local(ACCEL_STACK, 16)?;
-        let cache = match policy {
-            OffloadCachePolicy::Naive => None,
-            OffloadCachePolicy::Cached(config) => Some(ctx.new_cache(config)?),
-        };
         let body = self.program.func(func).name.as_str();
-        let mut env = AccelEnv { ctx, cache, body };
+        let mut env = AccelEnv { ctx, body };
         self.exec(&mut env, func, args, stack, ACCEL_STACK, Some(domain))?;
-        if let Some(mut cache) = env.cache.take() {
-            env.ctx.cache_flush(&mut cache)?;
-        }
         Ok(())
     }
 

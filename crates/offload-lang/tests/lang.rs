@@ -2,20 +2,23 @@
 //! semantics, memory-space typing, dispatch domains, duplication, word
 //! addressing, and cost behaviour on the simulated machine.
 
-use offload_lang::{compile, CompileError, ErrorKind, OffloadCachePolicy, Target, Vm, VmError};
-use simcell::{Machine, MachineConfig};
+use std::time::{Duration, Instant};
+
+use offload_lang::{compile, CompileError, ErrorKind, Target, Vm, VmError};
+use simcell::{Machine, MachineConfig, SimError};
+use softcache::{CacheChoice, CacheConfig};
 
 fn run_cell(source: &str) -> (i32, Vec<String>) {
-    run_with(source, &Target::cell_like(), OffloadCachePolicy::Naive)
+    run_with(source, &Target::cell_like(), CacheChoice::Naive)
 }
 
-fn run_with(source: &str, target: &Target, policy: OffloadCachePolicy) -> (i32, Vec<String>) {
+fn run_with(source: &str, target: &Target, choice: CacheChoice) -> (i32, Vec<String>) {
     let program = compile(source, target)
         .map_err(|e| panic!("compile error: {}", e.render(source)))
         .unwrap();
     let mut machine = Machine::new(MachineConfig::small()).unwrap();
     let mut vm = Vm::new(&program, &mut machine).unwrap();
-    vm.set_cache_policy(policy);
+    vm.set_cache(choice);
     let exit = vm
         .run(&mut machine)
         .map_err(|e| panic!("runtime error: {e}"))
@@ -25,11 +28,11 @@ fn run_with(source: &str, target: &Target, policy: OffloadCachePolicy) -> (i32, 
 
 /// Runs and also returns the host cycle count. Uses the full default
 /// machine (six accelerators) so asynchronous offloads can overlap.
-fn run_timed(source: &str, policy: OffloadCachePolicy) -> (i32, u64) {
+fn run_timed(source: &str, choice: CacheChoice) -> (i32, u64) {
     let program = compile(source, &Target::cell_like()).unwrap();
     let mut machine = Machine::new(MachineConfig::default()).unwrap();
     let mut vm = Vm::new(&program, &mut machine).unwrap();
-    vm.set_cache_policy(policy);
+    vm.set_cache(choice);
     let exit = vm.run(&mut machine).unwrap();
     (exit, machine.host_now())
 }
@@ -653,7 +656,7 @@ fn word_target_accepts_constant_subword_field_access() {
         }
         "#,
         &Target::word_addressed(4),
-        OffloadCachePolicy::Naive,
+        CacheChoice::Naive,
     );
     assert_eq!(exit, 42);
 }
@@ -694,7 +697,7 @@ fn word_target_accepts_word_stride_indexing() {
         }
         "#,
         &Target::word_addressed(4),
-        OffloadCachePolicy::Naive,
+        CacheChoice::Naive,
     );
     assert_eq!(exit, 15);
 }
@@ -712,11 +715,7 @@ fn word_target_pointer_arithmetic_rules() {
             return s[4];
         }
     "#;
-    let (exit, _) = run_with(
-        legal_word,
-        &Target::word_addressed(4),
-        OffloadCachePolicy::Naive,
-    );
+    let (exit, _) = run_with(legal_word, &Target::word_addressed(4), CacheChoice::Naive);
     assert_eq!(exit, 7);
 
     let illegal = r#"
@@ -740,11 +739,7 @@ fn word_target_pointer_arithmetic_rules() {
             return s[1];
         }
     "#;
-    let (exit, _) = run_with(
-        legal_byte,
-        &Target::word_addressed(4),
-        OffloadCachePolicy::Naive,
-    );
+    let (exit, _) = run_with(legal_byte, &Target::word_addressed(4), CacheChoice::Naive);
     assert_eq!(exit, 9);
 }
 
@@ -830,10 +825,10 @@ fn software_cache_beats_naive_outer_access() {
             return sum;
         }
     "#;
-    let (exit_naive, naive) = run_timed(source, OffloadCachePolicy::Naive);
+    let (exit_naive, naive) = run_timed(source, CacheChoice::Naive);
     let (exit_cached, cached) = run_timed(
         source,
-        OffloadCachePolicy::Cached(softcache::CacheConfig::direct_mapped_4k()),
+        CacheChoice::SetAssoc(CacheConfig::direct_mapped_4k()),
     );
     assert_eq!(exit_naive, 32640);
     assert_eq!(exit_cached, 32640);
@@ -841,6 +836,39 @@ fn software_cache_beats_naive_outer_access() {
         cached * 3 < naive,
         "the software cache should win >3x on a sequential scan: {cached} vs {naive}"
     );
+}
+
+/// A cache the local stores cannot hold (512 KiB) is refused before
+/// the program runs: no instruction, launch overhead, offload or event
+/// is charged.
+#[test]
+fn oversized_cache_is_refused_before_anything_runs() {
+    let source = r#"
+        var total: int;
+        fn main() -> int {
+            total = 2;
+            offload { total = total + 40; }
+            return total;
+        }
+    "#;
+    let program = compile(source, &Target::cell_like()).unwrap();
+    let mut machine = Machine::new(MachineConfig::small()).unwrap();
+    machine.events_mut().set_enabled(true);
+    let mut vm = Vm::new(&program, &mut machine).unwrap();
+    vm.set_cache(CacheChoice::SetAssoc(CacheConfig::new(128, 4096, 1)));
+    let before = machine.snapshot();
+    let t0 = Instant::now();
+    let result = vm.run(&mut machine);
+    assert!(t0.elapsed() < Duration::from_secs(1));
+    assert!(
+        matches!(result, Err(VmError::Sim(SimError::Cache(_)))),
+        "{result:?}"
+    );
+    machine
+        .snapshot()
+        .diff(&before)
+        .unwrap_or_else(|d| panic!("{d}"));
+    assert_eq!(vm.instructions_executed(), 0);
 }
 
 #[test]
@@ -877,8 +905,8 @@ fn local_scratch_is_much_cheaper_than_outer_access() {
             return out;
         }
     "#;
-    let (e1, t_local) = run_timed(&local, OffloadCachePolicy::Naive);
-    let (e2, t_outer) = run_timed(outer, OffloadCachePolicy::Naive);
+    let (e1, t_local) = run_timed(&local, CacheChoice::Naive);
+    let (e2, t_outer) = run_timed(outer, CacheChoice::Naive);
     assert_eq!(e1, 2016);
     assert_eq!(e2, 2016);
     assert!(
@@ -992,8 +1020,8 @@ fn async_offloads_overlap_on_different_accelerators() {
         spin("h1", "a"),
         spin("h2", "b"),
     );
-    let (exit_seq, t_seq) = run_timed(&sequential, OffloadCachePolicy::Naive);
-    let (exit_par, t_par) = run_timed(&parallel, OffloadCachePolicy::Naive);
+    let (exit_seq, t_seq) = run_timed(&sequential, CacheChoice::Naive);
+    let (exit_par, t_par) = run_timed(&parallel, CacheChoice::Naive);
     assert_eq!(exit_seq, 0);
     assert_eq!(exit_par, 0);
     assert!(
@@ -1040,8 +1068,8 @@ fn host_work_overlaps_an_async_offload() {
             return accel_sum - host_sum;
         }
     "#;
-    let (exit_a, t_async) = run_timed(source, OffloadCachePolicy::Naive);
-    let (exit_b, t_block) = run_timed(blocking, OffloadCachePolicy::Naive);
+    let (exit_a, t_async) = run_timed(source, CacheChoice::Naive);
+    let (exit_b, t_block) = run_timed(blocking, CacheChoice::Naive);
     assert_eq!(exit_a, 0);
     assert_eq!(exit_b, 0);
     assert!(

@@ -52,7 +52,6 @@ pub mod prelude;
 pub mod remote;
 pub mod sched;
 pub mod stream;
-pub mod tuned;
 
 pub use accessor::ArrayAccessor;
 pub use codeload::{dispatch_with_loading, CodeLoader, CodeLoaderStats, DEFAULT_CODE_SIZE};
@@ -64,7 +63,6 @@ pub use pipeline::{MachinePipelineExt, PipeReport, PipelineBuilder};
 pub use remote::{GatherView, RemoteSlice};
 pub use sched::{LaneReport, SchedExt, SchedPolicy, SchedReport, TileScheduler};
 pub use stream::{process_chunked, process_stream, StreamConfig};
-pub use tuned::{build_tuned_cache, TunedCache};
 
 /// DMA tag used by [`ArrayAccessor`] bulk transfers. Gather batches
 /// issued through [`simcell::AccelCtx::gather`] use the runtime's

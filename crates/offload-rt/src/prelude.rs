@@ -2,8 +2,8 @@
 //!
 //! `use offload_rt::prelude::*;` brings in everything a typical
 //! offloaded frame touches: the machine and its fluent offload
-//! builder, the accessor and streaming abstractions, the autotuned
-//! cache types, and the tile scheduler. Examples and doc tests across
+//! builder, the accessor and streaming abstractions, the cache choice
+//! and its autotuner, and the tile scheduler. Examples and doc tests across
 //! the repository import exactly this.
 
 pub use memspace::{Addr, Pod, SpaceId};
@@ -12,11 +12,10 @@ pub use simcell::{
     Machine, MachineConfig, ModeDecl, ModeSet, OffloadBuilder, OffloadHandle, RecoverySettings,
     SimError,
 };
-pub use softcache::{autotune::autotune, CacheChoice, CacheConfig, TunedCache};
+pub use softcache::{autotune::autotune, CacheChoice, CacheConfig};
 
 pub use crate::accessor::ArrayAccessor;
 pub use crate::pipeline::{MachinePipelineExt, PipeReport, PipelineBuilder};
 pub use crate::remote::{GatherView, RemoteSlice};
 pub use crate::sched::{LaneReport, SchedExt, SchedPolicy, SchedReport, TileScheduler};
 pub use crate::stream::{process_chunked, process_stream, StreamConfig};
-pub use crate::tuned::build_tuned_cache;

@@ -299,10 +299,9 @@ impl<'m> TileScheduler<'m> {
     ///
     /// Fails before anything is armed if the steal cost is out of
     /// bounds or [`OffloadBuilder::fan_out`] refuses the dispatch (a
-    /// lane range the machine lacks, builder-declared gathers, a bad
-    /// plan or recovery policy); then if the tuned cache cannot be
-    /// built, or with the first tile error (by tile index) the closure
-    /// returned. An injected fault the recovery layer could not absorb
+    /// lane range the machine lacks, a cache a lane cannot hold,
+    /// builder-declared gathers, a bad plan or recovery policy); then
+    /// with the first tile error (by tile index) the closure returned. An injected fault the recovery layer could not absorb
     /// (retries exhausted without
     /// [`fallback_host`](RecoverySettings::fallback_host), or every lane
     /// dead) surfaces as [`SimError::Fault`].

@@ -202,6 +202,8 @@ where
 mod tests {
     use super::*;
     use simcell::{Machine, MachineConfig};
+    use softcache::autotune::{autotune, replay_exact, TuneOptions};
+    use softcache::{CacheChoice, CacheConfig};
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::small()).unwrap()
@@ -406,5 +408,57 @@ mod tests {
             })
             .unwrap();
         assert!(matches!(result, Err(SimError::BadConfig { .. })));
+    }
+
+    #[test]
+    fn stream_config_derivation() {
+        let stream = CacheChoice::Stream(CacheConfig::new(1024, 1, 1));
+        let cfg = StreamConfig::from_choice::<u32>(&stream, true).unwrap();
+        assert_eq!(cfg.chunk_elems, 256);
+        assert!(cfg.write_back);
+        assert!(StreamConfig::from_choice::<u32>(&CacheChoice::Naive, true).is_none());
+        let assoc = CacheChoice::SetAssoc(CacheConfig::four_way_16k());
+        assert!(StreamConfig::from_choice::<u32>(&assoc, false).is_none());
+    }
+
+    #[test]
+    fn autotuned_choice_applies_and_reproduces_its_predicted_cycles() {
+        // Capture a sequential scan, tune it, install the winner with
+        // the builder's `cache`, and check the tuned run (a) beats naive
+        // and (b) lands exactly on the cycles exact replay predicted.
+        let len = 16 * 1024u32;
+        let run = |choice: CacheChoice, capture: bool| -> (u64, Vec<_>) {
+            let mut m = machine();
+            m.access_trace_mut().set_enabled(capture);
+            let data = m.alloc_main(len, 16).unwrap();
+            let elapsed = m
+                .offload(0)
+                .cache(choice)
+                .run(move |ctx| -> Result<u64, SimError> {
+                    let t0 = ctx.now();
+                    let mut buf = [0u8; 16];
+                    for off in (0..len - 16).step_by(16) {
+                        ctx.cached_read_bytes(data.offset_by(off)?, &mut buf)?;
+                    }
+                    Ok(ctx.now() - t0)
+                })
+                .unwrap()
+                .unwrap();
+            (elapsed, m.access_trace().records().to_vec())
+        };
+
+        let (naive_cycles, trace) = run(CacheChoice::Naive, true);
+        let opts = TuneOptions::default();
+        let report = autotune(&trace, &opts).unwrap();
+        let winner = report.winner();
+        assert_eq!(winner.choice.family(), "stream", "sequential scans stream");
+
+        let (tuned_cycles, _) = run(winner.choice, false);
+        assert!(tuned_cycles < naive_cycles);
+        assert_eq!(
+            tuned_cycles,
+            replay_exact(&winner.choice, &trace, &opts).unwrap(),
+            "applying the tuned choice reproduces the validated replay bit-identically"
+        );
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! Each case must come back as `Err` within a second, in debug and in
 //! release, having armed nothing and charged nothing: the launch
-//! contract checks lanes, plan and recovery policy before it installs a
-//! plan or launches an offload.
+//! contract checks lanes, cache, plan and recovery policy before it
+//! installs a plan or launches an offload.
 
 use std::time::{Duration, Instant};
 
@@ -17,6 +17,7 @@ use simcell::{
     AccelCtx, CoreId, CostModel, EventKind, FaultPlan, LaunchSettings, Machine, MachineConfig,
     RecoverySettings, SimError, MAX_CYCLES, MAX_RETRIES,
 };
+use softcache::{CacheChoice, CacheConfig};
 
 type Case = Box<dyn Fn(&mut Machine) -> Result<(), SimError>>;
 
@@ -265,6 +266,50 @@ fn the_bounds_themselves_are_accepted() {
     via_offload(&mut m, edge).expect("a maximal stall is legal");
     assert!(m.host_now() > MAX_CYCLES);
     assert!(start.elapsed() < Duration::from_secs(1));
+}
+
+/// A 512 KiB cache no local store can hold, through the single offload
+/// and the work-stealing scheduler. It used to be built only once the
+/// launch was under way: the host had paid the launch overhead,
+/// `offloads` counted it and the log held an `OffloadStart` with no end
+/// (plus one `SchedEnqueue` per lane through the scheduler). The launch
+/// contract now refuses it for every lane before anything happens.
+#[test]
+fn an_oversized_cache_is_refused_before_anything_is_charged() {
+    let oversized = CacheChoice::SetAssoc(CacheConfig::new(128, 4096, 1));
+    type CacheEntry = fn(&mut Machine, CacheChoice, Addr) -> Result<(), SimError>;
+    let entries: [(&str, MachineConfig, CacheEntry); 2] = [
+        ("offload", MachineConfig::small(), |m, choice, remote| {
+            m.offload(0).cache(choice).run(|ctx| body(ctx, remote))?
+        }),
+        ("sched", MachineConfig::default(), |m, choice, remote| {
+            m.offload(0)
+                .cache(choice)
+                .sched(SchedPolicy::WorkStealing)
+                .accels(4)
+                .run_tiles(4, |ctx, _| body(ctx, remote))
+                .map(drop)
+        }),
+    ];
+    for (name, config, entry) in entries {
+        let mut m = Machine::new(config).expect("valid config");
+        m.events_mut().set_enabled(true);
+        let remote = data(&mut m).expect("fits");
+        let before = m.snapshot();
+        let t0 = Instant::now();
+        let result = entry(&mut m, oversized, remote);
+        assert!(t0.elapsed() < Duration::from_secs(1), "{name}");
+        assert!(
+            matches!(result, Err(SimError::Cache(_))),
+            "{name}: {result:?}"
+        );
+        m.snapshot()
+            .diff(&before)
+            .unwrap_or_else(|d| panic!("{name}: {d}"));
+        // The same launch with a cache that fits runs.
+        let fits = CacheChoice::SetAssoc(CacheConfig::four_way_16k());
+        entry(&mut m, fits, remote).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
 }
 
 /// A dispatch used to drop builder-declared gathers on the floor, so a

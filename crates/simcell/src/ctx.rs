@@ -39,7 +39,8 @@ const POD_STACK_BUF: usize = 64;
 /// - perform naive synchronous "outer" accesses — each one a full DMA
 ///   round trip, which is what makes unoptimised pointer-chasing code so
 ///   slow on these machines (paper §4.2),
-/// - route outer accesses through a [`SoftwareCache`].
+/// - route outer accesses through the software cache its launch
+///   installed ([`AccelCtx::cached_read_pod`] and friends).
 ///
 /// Direct local accesses are reported to the DMA race checker, so a
 /// missing `dma_wait` is caught even though the simulation itself is
@@ -58,9 +59,9 @@ pub struct AccelCtx<'m> {
     pub(crate) stats: &'m mut MachineStats,
     pub(crate) accesses: &'m mut softcache::AccessTrace,
     pub(crate) span: u32,
-    /// Boxed so the per-access take-and-restore in
-    /// [`AccelCtx::tuned_read_pod`] moves a pointer, not the cache.
-    pub(crate) tuned: Option<Box<TunedCache>>,
+    /// The software cache the launch installed (boxed: most offloads
+    /// carry none, and the context stays small).
+    pub(crate) cache: Option<Box<TunedCache>>,
     pub(crate) faults: &'m mut FaultPlane,
     pub(crate) fault_sticky: Option<FaultError>,
     pub(crate) put_journal: Vec<(Addr, Vec<u8>)>,
@@ -1084,17 +1085,50 @@ impl<'m> AccelCtx<'m> {
     }
 
     // ---- cached outer access ----------------------------------------------
+    //
+    // The one software cache offload code reaches is the one its launch
+    // installs (`OffloadBuilder::cache`): built before the closure runs
+    // (allocation only, zero cycles), reached through the `cached_*`
+    // accessors below, and flushed on the accelerator clock when the
+    // closure returns. Under `CacheChoice::Naive` nothing is installed
+    // and every `cached_*` access is the plain outer access.
 
-    /// Runs one software-cache operation on this accelerator's clock:
-    /// hands the cache its local store, main memory and DMA engine,
-    /// then folds the cache's counter delta into [`MachineStats`] and
-    /// cache events.
+    /// Builds the cache `choice` describes in this accelerator's local
+    /// store. An offload whose access-mode declarations are all `read`
+    /// gets the write-through variant of the choice
+    /// ([`CacheChoice::for_read_only`]): no dirty line can form, so the
+    /// end-of-block flush is guaranteed empty by construction.
+    pub(crate) fn install_cache(&mut self, choice: &CacheChoice) -> Result<(), SimError> {
+        let choice = if self.modes.all_read_only() {
+            choice.for_read_only()
+        } else {
+            *choice
+        };
+        self.cache = choice
+            .build(memspace::SpaceId::MAIN, self.ls)?
+            .map(Box::new);
+        Ok(())
+    }
+
+    /// Whether this offload's launch installed a software cache (a
+    /// choice other than [`CacheChoice::Naive`]).
+    pub fn has_cache(&self) -> bool {
+        self.cache.is_some()
+    }
+
+    /// Runs one operation on the installed cache, on this accelerator's
+    /// clock: hands the cache its local store, main memory and DMA
+    /// engine, then folds the cache's counter delta into
+    /// [`MachineStats`] and cache events. Without a cache there is
+    /// nothing to run.
     #[inline]
-    fn cache_op<C: SoftwareCache>(
+    fn cache_op(
         &mut self,
-        cache: &mut C,
-        op: impl FnOnce(&mut C, u64, &mut CacheBacking<'_>) -> Result<u64, CacheError>,
+        op: impl FnOnce(&mut TunedCache, u64, &mut CacheBacking<'_>) -> Result<u64, CacheError>,
     ) -> Result<(), SimError> {
+        let Some(cache) = self.cache.as_deref_mut() else {
+            return Ok(());
+        };
         let before = cache.stats();
         let at = self.now;
         let mut backing = CacheBacking {
@@ -1103,212 +1137,108 @@ impl<'m> AccelCtx<'m> {
             dma: self.dma,
         };
         self.now = op(cache, self.now, &mut backing)?;
-        self.trace_cache_delta(at, before, cache.stats());
+        let after = cache.stats();
+        self.trace_cache_delta(at, before, after);
         Ok(())
     }
 
-    /// Reads raw bytes from main memory through a software cache.
-    ///
-    /// # Errors
-    ///
-    /// As for [`softcache::SoftwareCache::read`].
-    pub fn cached_read_bytes<C: SoftwareCache>(
-        &mut self,
-        cache: &mut C,
-        addr: Addr,
-        out: &mut [u8],
-    ) -> Result<(), SimError> {
+    /// Reads through the installed cache, which the caller has checked
+    /// exists.
+    #[inline]
+    fn cache_read(&mut self, addr: Addr, out: &mut [u8]) -> Result<(), SimError> {
         self.accesses
             .record_read(self.span, addr.offset(), out.len() as u32);
-        self.cache_op(cache, |c, now, backing| c.read(now, addr, out, backing))
+        self.cache_op(|c, now, backing| c.read(now, addr, out, backing))
     }
 
-    /// Writes raw bytes to main memory through a software cache.
-    ///
-    /// # Errors
-    ///
-    /// As for [`softcache::SoftwareCache::write`], plus
-    /// [`SimError::UndeclaredWrite`] when the offload declared access
-    /// modes and `addr..addr+len` is not covered by a `write`/`update`
-    /// declaration — the line never even turns dirty.
-    pub fn cached_write_bytes<C: SoftwareCache>(
-        &mut self,
-        cache: &mut C,
-        addr: Addr,
-        data: &[u8],
-    ) -> Result<(), SimError> {
+    /// Writes through the installed cache, which the caller has checked
+    /// exists.
+    #[inline]
+    fn cache_write(&mut self, addr: Addr, data: &[u8]) -> Result<(), SimError> {
         self.check_mode(DmaDirection::Put, addr, data.len() as u32)?;
         self.accesses
             .record_write(self.span, addr.offset(), data.len() as u32);
-        self.cache_op(cache, |c, now, backing| c.write(now, addr, data, backing))
+        self.cache_op(|c, now, backing| c.write(now, addr, data, backing))
     }
 
-    /// Reads a `T` from main memory through a software cache.
+    /// Reads raw bytes from main memory through the installed cache, or
+    /// with [`AccelCtx::outer_read_bytes`] when there is none.
     ///
     /// # Errors
     ///
-    /// As for [`softcache::SoftwareCache::read`].
-    pub fn cached_read_pod<T: Pod, C: SoftwareCache>(
-        &mut self,
-        cache: &mut C,
-        addr: Addr,
-    ) -> Result<T, SimError> {
+    /// As for [`softcache::SoftwareCache::read`] or
+    /// [`AccelCtx::outer_read_bytes`].
+    #[inline]
+    pub fn cached_read_bytes(&mut self, addr: Addr, out: &mut [u8]) -> Result<(), SimError> {
+        if self.cache.is_none() {
+            return self.outer_read_bytes(addr, out);
+        }
+        self.cache_read(addr, out)
+    }
+
+    /// Writes raw bytes to main memory through the installed cache, or
+    /// with [`AccelCtx::outer_write_bytes`] when there is none.
+    ///
+    /// # Errors
+    ///
+    /// As for [`softcache::SoftwareCache::write`] or
+    /// [`AccelCtx::outer_write_bytes`], plus
+    /// [`SimError::UndeclaredWrite`] when the offload declared access
+    /// modes and `addr..addr+len` is not covered by a `write`/`update`
+    /// declaration — the line never even turns dirty.
+    #[inline]
+    pub fn cached_write_bytes(&mut self, addr: Addr, data: &[u8]) -> Result<(), SimError> {
+        if self.cache.is_none() {
+            return self.outer_write_bytes(addr, data);
+        }
+        self.cache_write(addr, data)
+    }
+
+    /// Reads a `T` from main memory through the installed cache, or with
+    /// [`AccelCtx::outer_read_pod`] when there is none.
+    ///
+    /// # Errors
+    ///
+    /// As for [`AccelCtx::cached_read_bytes`] or
+    /// [`AccelCtx::outer_read_pod`].
+    #[inline]
+    pub fn cached_read_pod<T: Pod>(&mut self, addr: Addr) -> Result<T, SimError> {
+        if self.cache.is_none() {
+            return self.outer_read_pod(addr);
+        }
         with_pod_buf::<T, _>(|buf| {
-            self.cached_read_bytes(cache, addr, buf)?;
+            self.cache_read(addr, buf)?;
             Ok(T::read_from(buf))
         })
     }
 
-    /// Writes a `T` to main memory through a software cache.
+    /// Writes a `T` to main memory through the installed cache, or with
+    /// [`AccelCtx::outer_write_pod`] when there is none.
     ///
     /// # Errors
     ///
-    /// As for [`softcache::SoftwareCache::write`], plus
-    /// [`SimError::UndeclaredWrite`] under access-mode declarations
-    /// (see [`AccelCtx::cached_write_bytes`]).
-    pub fn cached_write_pod<T: Pod, C: SoftwareCache>(
-        &mut self,
-        cache: &mut C,
-        addr: Addr,
-        value: &T,
-    ) -> Result<(), SimError> {
+    /// As for [`AccelCtx::cached_write_bytes`] or
+    /// [`AccelCtx::outer_write_pod`].
+    #[inline]
+    pub fn cached_write_pod<T: Pod>(&mut self, addr: Addr, value: &T) -> Result<(), SimError> {
+        if self.cache.is_none() {
+            return self.outer_write_pod(addr, value);
+        }
         with_pod_buf::<T, _>(|buf| {
             value.write_to(buf);
-            self.cached_write_bytes(cache, addr, buf)
+            self.cache_write(addr, buf)
         })
     }
 
-    /// Builds a set-associative software cache whose line arena lives in
-    /// this accelerator's local store.
-    ///
-    /// The arena is released when the offload block ends; for a cache
-    /// that persists across offloads, use
-    /// [`crate::Machine::new_cache_for`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the local store cannot fit the cache.
-    pub fn new_cache(
-        &mut self,
-        config: softcache::CacheConfig,
-    ) -> Result<softcache::SetAssociativeCache, SimError> {
-        Ok(softcache::SetAssociativeCache::new(
-            config,
-            memspace::SpaceId::MAIN,
-            self.ls,
-        )?)
-    }
-
-    /// Builds a streaming software cache in this accelerator's local
-    /// store (released when the offload block ends).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the local store cannot fit the two line buffers.
-    pub fn new_stream_cache(
-        &mut self,
-        config: softcache::CacheConfig,
-    ) -> Result<softcache::StreamCache, SimError> {
-        Ok(softcache::StreamCache::new(
-            config,
-            memspace::SpaceId::MAIN,
-            self.ls,
-        )?)
-    }
-
-    /// Builds the cache an autotuned [`CacheChoice`] describes in this
-    /// accelerator's local store (released when the offload block
-    /// ends). Returns `None` for [`CacheChoice::Naive`] — the tuner
-    /// decided plain outer accesses win, so there is nothing to build.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the local store cannot fit the chosen configuration.
-    pub fn new_tuned_cache(
-        &mut self,
-        choice: &CacheChoice,
-    ) -> Result<Option<TunedCache>, SimError> {
-        Ok(choice.build(memspace::SpaceId::MAIN, self.ls)?)
-    }
-
-    /// Builds the block-scoped tuned cache an offload builder's
-    /// [`CacheChoice`] describes (see `OffloadBuilder::cache`).
-    /// Allocation only — zero simulated cycles.
-    ///
-    /// An offload whose access-mode declarations are all `read` gets
-    /// the write-through variant of the choice
-    /// ([`CacheChoice::for_read_only`]): no dirty line can form, so
-    /// the end-of-block flush is guaranteed empty by construction.
-    pub(crate) fn install_tuned(&mut self, choice: &CacheChoice) -> Result<(), SimError> {
-        let choice = if self.modes.all_read_only() {
-            choice.for_read_only()
-        } else {
-            *choice
-        };
-        self.tuned = choice
-            .build(memspace::SpaceId::MAIN, self.ls)?
-            .map(Box::new);
-        Ok(())
-    }
-
-    /// Flushes and drops the block-scoped tuned cache (if any), charging
-    /// the write-back to this accelerator's clock.
-    pub(crate) fn flush_tuned(&mut self) -> Result<(), SimError> {
-        if let Some(mut cache) = self.tuned.take() {
-            self.cache_flush(&mut *cache)?;
-        }
-        Ok(())
-    }
-
-    /// Whether this offload block carries a tuned cache (i.e. the
-    /// builder was given a non-naive [`CacheChoice`]).
-    pub fn has_tuned_cache(&self) -> bool {
-        self.tuned.is_some()
-    }
-
-    /// Reads a `T` from main memory through the block's tuned cache,
-    /// falling back to a plain synchronous outer access when the offload
-    /// was built without one (or with [`CacheChoice::Naive`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`AccelCtx::cached_read_pod`] / [`AccelCtx::outer_read_pod`].
-    pub fn tuned_read_pod<T: Pod>(&mut self, addr: Addr) -> Result<T, SimError> {
-        match self.tuned.take() {
-            Some(mut cache) => {
-                let result = self.cached_read_pod(&mut *cache, addr);
-                self.tuned = Some(cache);
-                result
-            }
-            None => self.outer_read_pod(addr),
-        }
-    }
-
-    /// Writes a `T` to main memory through the block's tuned cache,
-    /// falling back to a plain synchronous outer access when the offload
-    /// was built without one.
-    ///
-    /// # Errors
-    ///
-    /// As for [`AccelCtx::cached_write_pod`] / [`AccelCtx::outer_write_pod`].
-    pub fn tuned_write_pod<T: Pod>(&mut self, addr: Addr, value: &T) -> Result<(), SimError> {
-        match self.tuned.take() {
-            Some(mut cache) => {
-                let result = self.cached_write_pod(&mut *cache, addr, value);
-                self.tuned = Some(cache);
-                result
-            }
-            None => self.outer_write_pod(addr, value),
-        }
-    }
-
-    /// Flushes a software cache's dirty data back to main memory.
+    /// Writes the installed cache's dirty lines back to main memory, on
+    /// this accelerator's clock; the launch also does this when the
+    /// closure returns. Does nothing without a cache.
     ///
     /// # Errors
     ///
     /// As for [`softcache::SoftwareCache::flush`].
-    pub fn cache_flush<C: SoftwareCache>(&mut self, cache: &mut C) -> Result<(), SimError> {
-        self.cache_op(cache, |c, now, backing| c.flush(now, backing))
+    pub fn cache_flush(&mut self) -> Result<(), SimError> {
+        self.cache_op(|c, now, backing| c.flush(now, backing))
     }
 }
 

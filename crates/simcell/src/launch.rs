@@ -32,7 +32,8 @@ pub struct Launch {
     /// Trace label of the launched offloads (pipeline stages carry
     /// their own names).
     pub label: &'static str,
-    /// Tuned-cache choice of the launched offloads.
+    /// The software cache each launched offload installs (see
+    /// [`OffloadBuilder::cache`](crate::OffloadBuilder::cache)).
     pub cache: CacheChoice,
     /// The fault plan armed when the run starts, if any.
     pub faults: Option<FaultPlan>,
@@ -62,15 +63,16 @@ impl Default for Launch {
 
 impl Launch {
     /// The check-then-arm step every run passes through: checks that
-    /// the `lanes` accelerators from `first` exist and that the policy
-    /// is within [`MAX_RETRIES`] and [`MAX_CYCLES`](crate::MAX_CYCLES),
-    /// then installs the fault plan, which
-    /// [`Machine::install_fault_plan`] checks in turn. A rejected launch
-    /// installs and charges nothing.
+    /// the `lanes` accelerators from `first` exist, that each one's
+    /// local store can hold the cache, and that the policy is within
+    /// [`MAX_RETRIES`] and [`MAX_CYCLES`](crate::MAX_CYCLES), then
+    /// installs the fault plan, which [`Machine::install_fault_plan`]
+    /// checks in turn. A rejected launch installs and charges nothing.
     ///
     /// # Errors
     ///
     /// [`SimError::NoSuchAccel`] when a single lane does not exist;
+    /// [`SimError::Cache`] when a lane cannot hold the cache;
     /// [`SimError::BadConfig`] for an empty or oversized lane range, a
     /// policy out of bounds or a bad plan.
     pub fn arm(&self, machine: &mut Machine, first: u16, lanes: u16) -> Result<(), SimError> {
@@ -83,6 +85,9 @@ impl Launch {
                     "a launch from accelerator {first} needs 1..={fit} lanes, got {lanes}"
                 ),
             });
+        }
+        for lane in first..first + lanes {
+            self.cache.check_fits(machine.local_store(lane)?)?;
         }
         if self.retries > MAX_RETRIES {
             return Err(SimError::BadConfig {
@@ -186,8 +191,8 @@ pub trait LaunchSettings: Sized {
 
     /// Declares that the offload only *loads* from `[addr, addr+len)`.
     ///
-    /// A read declaration is a license the runtime spends twice: tuned
-    /// caches serving the range never allocate dirty lines for it, and
+    /// A read declaration is a license the runtime spends twice: the
+    /// launch's cache never allocates dirty lines for it, and
     /// accessors skip the write-back DMA entirely (counted in
     /// [`crate::MachineStats::dma_writebacks_elided`]). It is also a
     /// contract: once *any* mode is declared on an offload, a DMA put

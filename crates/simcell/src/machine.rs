@@ -115,7 +115,7 @@ impl<R> OffloadHandle<R> {
 }
 
 /// A fluent, in-flight offload: created by [`Machine::offload`], it
-/// accumulates the label, the tuned-cache choice and the
+/// accumulates the label, the cache choice and the
 /// [`LaunchSettings`] (fault plan, access modes) and launches with
 /// [`OffloadBuilder::spawn`] (returning a joinable [`OffloadHandle`])
 /// or [`OffloadBuilder::run`] (spawn + join in one step).
@@ -157,14 +157,17 @@ impl<'m> OffloadBuilder<'m> {
         self
     }
 
-    /// Routes the offload's tuned accesses through the cache an
-    /// autotuned [`CacheChoice`] describes: the cache is built from the
-    /// accelerator's local store when the block starts (allocation only
-    /// — zero cycles) and its dirty lines are flushed, on the
-    /// accelerator clock, when the closure returns. Inside the block,
-    /// [`AccelCtx::tuned_read_pod`] / [`AccelCtx::tuned_write_pod`] hit
-    /// this cache; with the default [`CacheChoice::Naive`] they fall
-    /// back to plain outer accesses and nothing is built.
+    /// Installs the software cache `choice` describes — hand-picked or
+    /// autotuned — as the one cache the offload's code can reach. The
+    /// cache is built in the accelerator's local store when the block
+    /// starts (allocation only — zero cycles), every
+    /// [`AccelCtx::cached_read_pod`] / [`AccelCtx::cached_write_pod`]
+    /// (and their byte forms) goes through it, and its dirty lines are
+    /// flushed, on the accelerator clock, when the closure returns. With
+    /// the default [`CacheChoice::Naive`] nothing is built and the
+    /// `cached_*` accessors are plain outer accesses. [`Launch::arm`]
+    /// refuses a choice the local store cannot hold before anything is
+    /// charged.
     pub fn cache(mut self, choice: CacheChoice) -> OffloadBuilder<'m> {
         self.launch.cache = choice;
         self
@@ -208,8 +211,8 @@ impl<'m> OffloadBuilder<'m> {
     /// # Errors
     ///
     /// Fails if [`Launch::arm`] rejects the launch (the accelerator does
-    /// not exist, or the fault plan is bad), or if the local store
-    /// cannot fit the configured tuned cache.
+    /// not exist, the local store cannot hold the cache, or the fault
+    /// plan is bad).
     pub fn spawn<R>(
         self,
         f: impl FnOnce(&mut AccelCtx<'_>) -> R,
@@ -746,7 +749,7 @@ impl Machine {
     /// Begins a fluent offload onto accelerator `accel`.
     ///
     /// The returned [`OffloadBuilder`] carries the optional label,
-    /// tuned-cache choice and launch settings; finish it with
+    /// cache choice and launch settings; finish it with
     /// [`OffloadBuilder::spawn`] (for a joinable handle) or
     /// [`OffloadBuilder::run`] (spawn + join):
     ///
@@ -779,7 +782,7 @@ impl Machine {
     /// The full launch path every offload goes through once
     /// [`Launch::arm`] has checked it: charge the host the launch
     /// overhead, run the closure on the accelerator clock
-    /// (building and flushing the builder's tuned cache around it), and
+    /// (installing and flushing the launch's cache around it), and
     /// hand back the joinable handle.
     fn launch<R>(
         &mut self,
@@ -843,7 +846,7 @@ impl Machine {
         // accelerator clock. Builder-declared gather plans execute
         // first, on the accelerator clock, so their packed buffers are
         // ready when the kernel enters (see AccelCtx::gathered).
-        let outcome = match ctx.install_tuned(&launch.cache) {
+        let outcome = match ctx.install_cache(&launch.cache) {
             Err(e) => Err(e),
             Ok(()) => match gathers.iter().try_for_each(|plan| {
                 let local = ctx.gather(plan)?;
@@ -853,7 +856,7 @@ impl Machine {
                 Err(e) => Err(e),
                 Ok(()) => {
                     let result = f(&mut ctx);
-                    match ctx.flush_tuned() {
+                    match ctx.cache_flush() {
                         Err(e) => Err(e),
                         Ok(()) => Ok((result, ctx.now)),
                     }
@@ -909,7 +912,7 @@ impl Machine {
             stats: &mut self.stats,
             accesses: &mut self.accesses,
             span,
-            tuned: None,
+            cache: None,
             faults: &mut self.faults,
             fault_sticky: None,
             put_journal: Vec::new(),
@@ -1163,46 +1166,7 @@ impl Machine {
             .sum()
     }
 
-    /// Builds a set-associative software cache whose arena is allocated
-    /// *permanently* in accelerator `accel`'s local store, surviving
-    /// across offload blocks (call before the first offload).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `accel` does not exist or its local store is full.
-    pub fn new_cache_for(
-        &mut self,
-        accel: u16,
-        config: softcache::CacheConfig,
-    ) -> Result<softcache::SetAssociativeCache, SimError> {
-        self.check_accel(accel)?;
-        Ok(softcache::SetAssociativeCache::new(
-            config,
-            SpaceId::MAIN,
-            &mut self.accels[usize::from(accel)].ls,
-        )?)
-    }
-
-    /// Builds a streaming software cache persisting in accelerator
-    /// `accel`'s local store.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Machine::new_cache_for`].
-    pub fn new_stream_cache_for(
-        &mut self,
-        accel: u16,
-        config: softcache::CacheConfig,
-    ) -> Result<softcache::StreamCache, SimError> {
-        self.check_accel(accel)?;
-        Ok(softcache::StreamCache::new(
-            config,
-            SpaceId::MAIN,
-            &mut self.accels[usize::from(accel)].ls,
-        )?)
-    }
-
-    /// Read-only view of an accelerator's local store (for tests).
+    /// Read-only view of an accelerator's local store.
     ///
     /// # Errors
     ///
@@ -1423,13 +1387,14 @@ mod tests {
             .unwrap();
         let sum = m
             .offload(0)
+            .cache(CacheChoice::SetAssoc(
+                softcache::CacheConfig::direct_mapped_4k(),
+            ))
             .run(|ctx| -> Result<(u32, u64, u64), SimError> {
-                // Allocate the cache arena inside the offload scope.
-                let mut cache = ctx.new_cache(softcache::CacheConfig::direct_mapped_4k())?;
                 let t0 = ctx.now();
                 let mut sum = 0u32;
                 for i in 0..64u32 {
-                    sum += ctx.cached_read_pod::<u32, _>(&mut cache, a.element(i, 4)?)?;
+                    sum += ctx.cached_read_pod::<u32>(a.element(i, 4)?)?;
                 }
                 let cached_cycles = ctx.now() - t0;
                 let t1 = ctx.now();
@@ -1601,88 +1566,51 @@ mod tests {
     }
 
     #[test]
-    fn machine_level_caches_persist_across_offloads() {
-        use softcache::SoftwareCache;
-        let mut m = machine();
-        let a = m.alloc_main_slice::<u32>(16).unwrap();
-        m.main_mut().write_pod(a, &9u32).unwrap();
-        let mut cache = m
-            .new_cache_for(0, softcache::CacheConfig::direct_mapped_4k())
-            .unwrap();
-        // First offload misses; the second hits the *same* cache because
-        // its arena was allocated before any offload scope.
-        for _ in 0..2 {
-            let v = m
+    fn builder_cache_routes_tuned_accesses_and_flushes_on_exit() {
+        let values: Vec<u32> = (0..512).map(|i| i * 3).collect();
+        let expected: u32 = values.iter().sum();
+        let mut naive_cycles = None;
+        for choice in [
+            CacheChoice::Naive,
+            CacheChoice::SetAssoc(softcache::CacheConfig::direct_mapped_4k()),
+            CacheChoice::SetAssoc(softcache::CacheConfig::four_way_16k()),
+            CacheChoice::Stream(softcache::CacheConfig::new(1024, 1, 1)),
+        ] {
+            let mut m = machine();
+            let a = m.alloc_main_slice::<u32>(512).unwrap();
+            m.main_mut().write_pod_slice(a, &values).unwrap();
+            let (sum, cycles) = m
                 .offload(0)
-                .run(|ctx| ctx.cached_read_pod::<u32, _>(&mut cache, a))
+                .cache(choice)
+                .run(|ctx| -> Result<(u32, u64), SimError> {
+                    // A naive choice builds nothing; the cached
+                    // accessors are then plain outer accesses.
+                    assert_eq!(ctx.has_cache(), choice != CacheChoice::Naive, "{choice}");
+                    let t0 = ctx.now();
+                    let mut sum = 0u32;
+                    for i in 0..512u32 {
+                        sum += ctx.cached_read_pod::<u32>(a.element(i, 4)?)?;
+                    }
+                    let cycles = ctx.now() - t0;
+                    ctx.cached_write_pod(a.element(0, 4)?, &777u32)?;
+                    Ok((sum, cycles))
+                })
                 .unwrap()
                 .unwrap();
-            assert_eq!(v, 9);
+            assert_eq!(sum, expected, "{choice}");
+            // A write-back line was flushed when the block ended.
+            assert_eq!(m.main().read_pod::<u32>(a).unwrap(), 777, "{choice}");
+            match naive_cycles {
+                None => {
+                    naive_cycles = Some(cycles);
+                    assert_eq!(m.stats().cache_hits + m.stats().cache_misses, 0);
+                }
+                Some(naive) => {
+                    assert!(cycles * 4 < naive, "{choice}: {cycles} vs {naive}");
+                    assert!(m.stats().cache_hits > 0, "{choice}");
+                }
+            }
         }
-        assert_eq!(
-            cache.stats().hits,
-            1,
-            "the second offload hit the persistent cache"
-        );
-        assert_eq!(cache.stats().misses, 1);
-
-        let mut stream = m
-            .new_stream_cache_for(0, softcache::CacheConfig::new(256, 1, 1))
-            .unwrap();
-        let v = m
-            .offload(0)
-            .run(|ctx| ctx.cached_read_pod::<u32, _>(&mut stream, a))
-            .unwrap()
-            .unwrap();
-        assert_eq!(v, 9);
-    }
-
-    #[test]
-    fn builder_cache_routes_tuned_accesses_and_flushes_on_exit() {
-        let mut m = machine();
-        let a = m.alloc_main_slice::<u32>(64).unwrap();
-        m.main_mut()
-            .write_pod_slice(a, &(0..64).collect::<Vec<u32>>())
-            .unwrap();
-        // Naive builder: tuned accessors fall back to outer accesses.
-        let (naive_sum, naive_cycles) = m
-            .offload(0)
-            .run(|ctx| -> Result<(u32, u64), SimError> {
-                assert!(!ctx.has_tuned_cache());
-                let t0 = ctx.now();
-                let mut sum = 0u32;
-                for i in 0..64u32 {
-                    sum += ctx.tuned_read_pod::<u32>(a.element(i, 4)?)?;
-                }
-                Ok((sum, ctx.now() - t0))
-            })
-            .unwrap()
-            .unwrap();
-        // Cached builder: same loop through the tuned cache, far cheaper.
-        let choice = CacheChoice::SetAssoc(softcache::CacheConfig::direct_mapped_4k());
-        let (cached_sum, cached_cycles) = m
-            .offload(0)
-            .cache(choice)
-            .run(|ctx| -> Result<(u32, u64), SimError> {
-                assert!(ctx.has_tuned_cache());
-                let t0 = ctx.now();
-                let mut sum = 0u32;
-                for i in 0..64u32 {
-                    sum += ctx.tuned_read_pod::<u32>(a.element(i, 4)?)?;
-                }
-                ctx.tuned_write_pod(a.element(0, 4)?, &777u32)?;
-                Ok((sum, ctx.now() - t0))
-            })
-            .unwrap()
-            .unwrap();
-        assert_eq!(naive_sum, cached_sum);
-        assert!(
-            cached_cycles * 4 < naive_cycles,
-            "tuned cache should be >4x faster: {cached_cycles} vs {naive_cycles}"
-        );
-        // The write-back flush ran when the block ended.
-        assert_eq!(m.main().read_pod::<u32>(a).unwrap(), 777);
-        assert!(m.stats().cache_hits > 0);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use dma::{Tag, TagMask};
 use memspace::Addr;
 use simcell::{GatherPlan, Machine, MachineConfig, SimError, Snapshot};
+use softcache::{CacheChoice, CacheConfig};
 use xrng::Rng;
 
 /// Bytes of main memory the transfers roam over.
@@ -37,9 +38,9 @@ fn run(seed: u64, events: bool) -> (Snapshot, u64) {
         .expect("arena in bounds");
     let digest = machine
         .offload(0)
+        .cache(CacheChoice::SetAssoc(CacheConfig::direct_mapped_4k()))
         .run(|ctx| -> Result<u64, SimError> {
             let local = ctx.alloc_local(max_size, 16)?;
-            let mut cache = ctx.new_cache(softcache::CacheConfig::direct_mapped_4k())?;
             let mut digest = 0u64;
             let mut fold = |bytes: &[u8]| {
                 for &b in bytes {
@@ -81,12 +82,12 @@ fn run(seed: u64, events: bool) -> (Snapshot, u64) {
                         }
                     }
                     5 => {
-                        ctx.cached_read_bytes(&mut cache, at(&mut rng)?, data)?;
+                        ctx.cached_read_bytes(at(&mut rng)?, data)?;
                         fold(data);
                     }
                     6 => {
                         data.iter_mut().for_each(|b| *b = rng.next_u32() as u8);
-                        ctx.cached_write_bytes(&mut cache, at(&mut rng)?, data)?;
+                        ctx.cached_write_bytes(at(&mut rng)?, data)?;
                     }
                     // At most 64 elements: every descriptor of a batch
                     // race-scans the ones before it.
@@ -103,7 +104,7 @@ fn run(seed: u64, events: bool) -> (Snapshot, u64) {
                     }
                 }
             }
-            ctx.cache_flush(&mut cache)?;
+            ctx.cache_flush()?;
             ctx.dma_wait(TagMask::ALL);
             Ok(digest)
         })

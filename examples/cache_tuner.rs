@@ -14,8 +14,8 @@
 //! 2. `softcache::autotune` replays the trace through an analytic cost
 //!    model for every candidate cache configuration and validates the
 //!    top picks by exact simulated replay,
-//! 3. re-run the identical frame with the winning cache built by
-//!    [`offload_rt::build_tuned_cache`] — the measured cycles land
+//! 3. re-run the identical frame with the winning cache installed by
+//!    the offload builder's `cache` — the measured cycles land
 //!    *exactly* on the tuner's replay prediction, and the world state
 //!    matches the naive run bit-for-bit.
 
@@ -36,64 +36,37 @@ fn build_world() -> Result<(Machine, EntityArray, Addr), SimError> {
     Ok((machine, entities, table))
 }
 
-fn read_entity(
-    ctx: &mut AccelCtx<'_>,
-    cache: &mut Option<TunedCache>,
-    addr: Addr,
-) -> Result<GameEntity, SimError> {
-    match cache {
-        Some(c) => ctx.cached_read_pod(c, addr),
-        None => ctx.outer_read_pod(addr),
-    }
-}
-
 /// One naive per-entity AI frame: the un-ported inner loop of Figure 2,
-/// optionally routed through the tuner's cache. Returns the cycles of
-/// the access loop (the window the captured trace covers).
+/// every access through the offload's installed cache (plain outer
+/// accesses when none is installed). Returns the cycles of the access
+/// loop (the window the captured trace covers); the end-of-block flush
+/// falls outside it.
 fn ai_frame(
     ctx: &mut AccelCtx<'_>,
     entities: &EntityArray,
     table: Addr,
     config: &AiConfig,
-    choice: Option<&CacheChoice>,
 ) -> Result<u64, SimError> {
     let k = config.candidates;
-    let mut cache = match choice {
-        Some(c) => build_tuned_cache(ctx, c)?,
-        None => None,
-    };
     let t0 = ctx.now();
     for i in 0..entities.len() {
-        let mut me = read_entity(ctx, &mut cache, entities.addr_of(i)?)?;
+        let mut me: GameEntity = ctx.cached_read_pod(entities.addr_of(i)?)?;
         let mut candidates = Vec::with_capacity(k as usize);
         for j in 0..k {
-            let idx_addr = table.element(i * k + j, 4)?;
-            let idx: u32 = match &mut cache {
-                Some(c) => ctx.cached_read_pod(c, idx_addr)?,
-                None => ctx.outer_read_pod(idx_addr)?,
-            };
-            let c = read_entity(ctx, &mut cache, entities.addr_of(idx)?)?;
+            let idx: u32 = ctx.cached_read_pod(table.element(i * k + j, 4)?)?;
+            let c: GameEntity = ctx.cached_read_pod(entities.addr_of(idx)?)?;
             ctx.compute(config.per_candidate_compute);
             candidates.push((idx, c.pos, c.health));
         }
         ai::decide(&mut me, i, &candidates);
         ctx.compute(config.think_compute);
-        match &mut cache {
-            Some(c) => ctx.cached_write_pod(c, entities.addr_of(i)?, &me)?,
-            None => ctx.outer_write_pod(entities.addr_of(i)?, &me)?,
-        }
+        ctx.cached_write_pod(entities.addr_of(i)?, &me)?;
     }
-    let elapsed = ctx.now() - t0;
-    // Write-back epilogue for correctness; deliberately outside the
-    // measured window, which covers exactly what the trace replays.
-    if let Some(c) = &mut cache {
-        ctx.cache_flush(c)?;
-    }
-    Ok(elapsed)
+    Ok(ctx.now() - t0)
 }
 
 fn run_frame(
-    choice: Option<&CacheChoice>,
+    choice: CacheChoice,
     capture: bool,
 ) -> Result<(u64, Vec<AccessRecord>, Vec<GameEntity>), SimError> {
     let (mut machine, entities, table) = build_world()?;
@@ -101,7 +74,8 @@ fn run_frame(
     let config = AiConfig::default();
     let cycles = machine
         .offload(0)
-        .run(|ctx| ai_frame(ctx, &entities, table, &config, choice))??;
+        .cache(choice)
+        .run(|ctx| ai_frame(ctx, &entities, table, &config))??;
     let world = entities.snapshot(&machine)?;
     Ok((cycles, machine.access_trace().records().to_vec(), world))
 }
@@ -110,7 +84,7 @@ fn main() -> Result<(), SimError> {
     println!("cache_tuner: autotuning one naive Figure-2 AI frame ({ENTITIES} entities)\n");
 
     // 1. Profile: run naively, capturing the access trace.
-    let (naive_cycles, trace, naive_world) = run_frame(None, true)?;
+    let (naive_cycles, trace, naive_world) = run_frame(CacheChoice::Naive, true)?;
     println!(
         "naive frame: {naive_cycles} cycles, {} recorded accesses",
         trace.len()
@@ -147,7 +121,7 @@ fn main() -> Result<(), SimError> {
     assert_eq!(naive_cycles, naive_replay, "naive replay is bit-identical");
 
     // 3. Apply: re-run the same frame with the tuned cache.
-    let (tuned_cycles, _, tuned_world) = run_frame(Some(&winner.choice), false)?;
+    let (tuned_cycles, _, tuned_world) = run_frame(winner.choice, false)?;
     assert_eq!(
         tuned_cycles, predicted,
         "the tuned run must land exactly on the replay prediction"

@@ -10,7 +10,7 @@
 //! the paper's type system is built around: the memory-space error, the
 //! domain-miss exception, and the word-addressing error.
 
-use offload_repro::offload_lang::{compile, OffloadCachePolicy, Target, Vm, WordStrategy};
+use offload_repro::offload_lang::{compile, Target, Vm, WordStrategy};
 use offload_repro::offload_rt::prelude::*;
 
 const GAME: &str = r#"
@@ -72,9 +72,7 @@ fn main() {
 
     let mut machine = Machine::new(MachineConfig::default()).expect("machine builds");
     let mut vm = Vm::new(&program, &mut machine).expect("program loads");
-    vm.set_cache_policy(OffloadCachePolicy::Cached(
-        offload_repro::softcache::CacheConfig::direct_mapped_4k(),
-    ));
+    vm.set_cache(CacheChoice::SetAssoc(CacheConfig::direct_mapped_4k()));
     let exit = vm.run(&mut machine).expect("program runs");
     println!(
         "\nran 10 frames in {} simulated host cycles; output: {:?}; exit {exit}",

@@ -40,16 +40,16 @@ fn main() -> Result<(), SimError> {
             Ok((sum, ctx.now() - t0))
         })??;
 
-    // 2. Through a software cache: misses fetch whole lines.
+    // 2. Through the software cache the launch installs: misses fetch
+    //    whole lines.
     let cached = machine
         .offload(0)
+        .cache(CacheChoice::SetAssoc(CacheConfig::direct_mapped_4k()))
         .run(|ctx| -> Result<(u32, u64), SimError> {
-            let mut cache = ctx.new_cache(CacheConfig::direct_mapped_4k())?;
             let t0 = ctx.now();
             let mut sum = 0u32;
             for i in 0..N {
-                sum = sum
-                    .wrapping_add(ctx.cached_read_pod::<u32, _>(&mut cache, data.element(i, 4)?)?);
+                sum = sum.wrapping_add(ctx.cached_read_pod::<u32>(data.element(i, 4)?)?);
             }
             Ok((sum, ctx.now() - t0))
         })??;

@@ -3,10 +3,11 @@
 use offload_repro::gamekit::{
     run_frame, AiConfig, ComponentSystem, EntityArray, FrameSchedule, WorldGen,
 };
-use offload_repro::offload_lang::{compile, OffloadCachePolicy, Target, Vm};
+use offload_repro::offload_lang::{compile, Program, Target, Vm};
 use offload_repro::offload_rt::ArrayAccessor;
-use offload_repro::simcell::{Machine, MachineConfig, SimError};
-use offload_repro::softcache::CacheConfig;
+use offload_repro::simcell::{Machine, MachineConfig, MemorySnapshot, SimError};
+use offload_repro::softcache::autotune::{autotune, TuneOptions};
+use offload_repro::softcache::{AccessRecord, CacheChoice, CacheConfig};
 
 #[test]
 fn simulation_is_deterministic_across_runs() {
@@ -88,9 +89,37 @@ fn thirteen_specialised_offloads_round_robin_across_accelerators() {
     assert_eq!(machine.races_detected(), 0);
 }
 
+/// What one VM run under a cache choice leaves behind.
+struct CachedRun {
+    exit: i32,
+    output: Vec<String>,
+    host_cycles: u64,
+    instructions: u64,
+    memory: MemorySnapshot,
+    trace: Vec<AccessRecord>,
+}
+
+/// Runs `program` on a fresh default machine with `choice` installed in
+/// every offload block, capturing its access trace when `capture`.
+fn run_cached(program: &Program, choice: CacheChoice, capture: bool) -> CachedRun {
+    let mut machine = Machine::new(MachineConfig::default()).unwrap();
+    machine.access_trace_mut().set_enabled(capture);
+    let mut vm = Vm::new(program, &mut machine).unwrap();
+    vm.set_cache(choice);
+    let exit = vm.run(&mut machine).unwrap();
+    CachedRun {
+        exit,
+        output: vm.output().to_vec(),
+        host_cycles: machine.host_now(),
+        instructions: vm.instructions_executed(),
+        memory: machine.memory_snapshot(),
+        trace: machine.access_trace().records().to_vec(),
+    }
+}
+
 #[test]
 fn compiled_program_with_cache_policy_matches_naive_results() {
-    let source = r#"
+    let sum = r#"
         var data: [int; 128];
         var out: int;
         fn main() -> int {
@@ -105,29 +134,48 @@ fn compiled_program_with_cache_policy_matches_naive_results() {
             return out;
         }
     "#;
-    let program = compile(source, &Target::cell_like()).unwrap();
-    let expected = (0..128).map(|i| i * 2).sum::<i32>();
-
-    let mut results = Vec::new();
-    for policy in [
-        OffloadCachePolicy::Naive,
-        OffloadCachePolicy::Cached(CacheConfig::direct_mapped_4k()),
-        OffloadCachePolicy::Cached(CacheConfig::four_way_16k()),
-    ] {
-        let mut machine = Machine::new(MachineConfig::default()).unwrap();
-        let mut vm = Vm::new(&program, &mut machine).unwrap();
-        vm.set_cache_policy(policy);
-        results.push((vm.run(&mut machine).unwrap(), machine.host_now()));
+    let frame = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/omini/frame.omini"
+    ))
+    .unwrap();
+    // Exit, instructions, and host cycles with no cache, the
+    // direct-mapped 4 KiB, 4-way 16 KiB and 1 KiB streaming caches, and
+    // the autotuner's winner for the program's own access trace.
+    let cases = [
+        (sum, 16_256, 4_118, [85_213, 19_201, 17_383, 15_625, 15_625]),
+        (
+            frame.as_str(),
+            176,
+            24_899,
+            [54_569, 47_745, 47_745, 49_745, 47_745],
+        ),
+    ];
+    for (source, exit, instructions, host_cycles) in cases {
+        let program = compile(source, &Target::cell_like()).unwrap();
+        let naive = run_cached(&program, CacheChoice::Naive, true);
+        let winner = autotune(&naive.trace, &TuneOptions::default())
+            .unwrap()
+            .winner()
+            .choice;
+        let choices = [
+            CacheChoice::Naive,
+            CacheChoice::SetAssoc(CacheConfig::direct_mapped_4k()),
+            CacheChoice::SetAssoc(CacheConfig::four_way_16k()),
+            CacheChoice::Stream(CacheConfig::new(1024, 1, 1)),
+            winner,
+        ];
+        for (choice, cycles) in choices.into_iter().zip(host_cycles) {
+            let run = run_cached(&program, choice, false);
+            assert_eq!(run.exit, exit, "{choice}");
+            assert_eq!(run.output, naive.output, "{choice}");
+            assert_eq!(run.instructions, instructions, "{choice}");
+            run.memory
+                .diff(&naive.memory)
+                .unwrap_or_else(|d| panic!("{choice}: {d}"));
+            assert_eq!(run.host_cycles, cycles, "{choice}");
+        }
     }
-    for (exit, _) in &results {
-        assert_eq!(*exit, expected);
-    }
-    let naive_cycles = results[0].1;
-    let cached_cycles = results[1].1;
-    assert!(
-        cached_cycles < naive_cycles,
-        "the cache only changes cost, and downward"
-    );
 }
 
 #[test]
