@@ -34,8 +34,7 @@
 use bench::exp;
 use bench::profile::{traced_e2_frame, traced_fault_frame, traced_pipe_frame, traced_sched_frame};
 use bench::Table;
-use simcell::trace::{FAULT_LANE_BASE, PIPE_LANE_BASE, SCHED_LANE_BASE};
-use simcell::{chrome_trace_json, parse_chrome_trace, Machine};
+use simcell::{chrome_trace_json, parse_chrome_trace, Lane, Machine};
 
 /// An experiment id paired with its runner.
 type Runner = (&'static str, fn(bool) -> Table);
@@ -112,7 +111,7 @@ fn write_traces(path: &str) {
          in PROFILING.md reads this file",
         report.tiles, report.steals,
     );
-    let lanes = Some((SCHED_LANE_BASE, usize::from(report.accels)));
+    let lanes = Some((Lane::Sched(0).tid(), usize::from(report.accels)));
     write_trace(
         &suffixed_trace_path(path, "sched"),
         &machine,
@@ -126,7 +125,7 @@ fn write_traces(path: &str) {
          walkthrough in PROFILING.md reads this file",
         report.faults, report.retries, report.fallbacks,
     );
-    let lanes = Some((FAULT_LANE_BASE, 1));
+    let lanes = Some((Lane::Faults(0).tid(), 1));
     write_trace(
         &suffixed_trace_path(path, "faults"),
         &machine,
@@ -140,7 +139,7 @@ fn write_traces(path: &str) {
          backpressure cycles) — the pipeline lane walkthrough in PROFILING.md reads this file",
         report.stages, report.chunks, report.input_wait_cycles, report.backpressure_cycles,
     );
-    let lanes = Some((PIPE_LANE_BASE, usize::from(report.stages)));
+    let lanes = Some((Lane::Pipe(0).tid(), usize::from(report.stages)));
     write_trace(&suffixed_trace_path(path, "pipe"), &machine, lanes, summary);
 }
 

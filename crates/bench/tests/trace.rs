@@ -3,9 +3,10 @@
 //! Pins the properties `PROFILING.md` relies on: traces are valid Chrome
 //! trace-event JSON, the Figure 2 overlap is visible in the exported
 //! lanes, tracing is zero simulated cost and allocation-free when
-//! disabled, and the always-on counters agree with the event log. The
-//! exported JSON itself is pinned byte for byte against the golden
-//! files in `tests/golden/traces/`.
+//! disabled, and the always-on counters are a fold of the event log.
+//! The exported JSON is pinned byte for byte against the golden files
+//! in `tests/golden/traces/`, and the ASCII timelines and utilization
+//! reports against `tests/golden/text_views.txt`.
 
 mod common;
 
@@ -14,10 +15,9 @@ use bench::profile::{
     traced_sched_frame,
 };
 use dma::{Tag, TagMask};
-use simcell::trace::{accel_tid, dma_tid, fault_tid, pipe_tid, sched_tid};
 use simcell::{
-    chrome_trace_json, parse_chrome_trace, ChromeEvent, EventKind, FaultPlan, GatherPlan, Machine,
-    MachineConfig, SimError,
+    ascii_timeline, chrome_trace_json, parse_chrome_trace, ChromeEvent, EventKind, FaultPlan,
+    GatherPlan, Lane, Machine, MachineConfig, MachineStats, SimError,
 };
 use softcache::{CacheChoice, CacheConfig};
 
@@ -116,25 +116,46 @@ fn transfer_capture() -> Machine {
     machine
 }
 
-/// The four files `paper_tables --trace e2.json` writes, plus the
-/// transfer-family capture, rebuilt in-process and compared with the
-/// committed goldens: any change to what a transfer records, when, or
-/// in which order shows up here as a named line.
+/// The five traced captures, by golden-file stem: the four runs
+/// `paper_tables --trace e2.json` writes, plus the transfer-family
+/// capture.
+fn captures() -> [(&'static str, Machine); 5] {
+    [
+        ("e2", traced_e2_frame(true).0),
+        ("e2-sched", traced_sched_frame(true).0),
+        ("e2-faults", traced_fault_frame(true).0),
+        ("e2-pipe", traced_pipe_frame(true).0),
+        ("transfers", transfer_capture()),
+    ]
+}
+
+/// The five captures' Chrome JSON, rebuilt in-process and compared
+/// with the committed goldens: any change to what a transfer records,
+/// when, or in which order shows up here as a named line.
 #[test]
 fn trace_json_matches_the_golden_files() {
-    let traces = [
-        ("e2.json", traced_e2_frame(true).0),
-        ("e2-sched.json", traced_sched_frame(true).0),
-        ("e2-faults.json", traced_fault_frame(true).0),
-        ("e2-pipe.json", traced_pipe_frame(true).0),
-        ("transfers.json", transfer_capture()),
-    ];
-    for (name, machine) in &traces {
+    for (name, machine) in &captures() {
         common::assert_matches_golden(
-            &format!("traces/{name}"),
+            &format!("traces/{name}.json"),
             &chrome_trace_json(machine.events()),
         );
     }
+}
+
+/// The five captures' text views: each one's 100-column ASCII timeline
+/// and its utilization report, pinned in one golden file. The
+/// scheduler and pipeline timelines end at their last scheduler or
+/// pipeline event, so a wrong end cycle moves a column here.
+#[test]
+fn text_views_match_the_golden_file() {
+    let mut views = String::new();
+    for (name, machine) in &captures() {
+        views.push_str(&format!("== {name}: ascii_timeline(100) ==\n"));
+        views.push_str(&ascii_timeline(machine.events(), 100));
+        views.push_str(&format!("== {name}: utilization_report ==\n"));
+        views.push_str(&machine.utilization_report());
+    }
+    common::assert_matches_golden("text_views.txt", &views);
 }
 
 #[test]
@@ -196,7 +217,7 @@ fn figure2_overlap_is_visible_in_the_trace() {
 
     let strategy = parsed
         .iter()
-        .find(|e| e.ph == 'X' && e.name == "calculateStrategy" && e.tid == accel_tid(0))
+        .find(|e| e.ph == 'X' && e.name == "calculateStrategy" && e.tid == Lane::Accel(0).tid())
         .expect("offloaded calculateStrategy becomes a complete slice on the accel lane");
 
     // detectCollisions is a begin/end pair on the host lane (tid 0).
@@ -229,7 +250,7 @@ fn figure2_overlap_is_visible_in_the_trace() {
     assert!(
         parsed
             .iter()
-            .any(|e| e.ph == 'X' && e.name == "dma_get" && e.tid == dma_tid(0)),
+            .any(|e| e.ph == 'X' && e.name == "dma_get" && e.tid == Lane::Dma(0).tid()),
         "accessor fetches must appear as dma_get slices on the DMA lane"
     );
 }
@@ -247,15 +268,15 @@ fn scheduler_lanes_round_trip_through_the_chrome_parser() {
 
     for lane in 0..report.accels {
         assert!(
-            parsed
-                .iter()
-                .any(|e| e.ph == 'M' && e.name == "thread_name" && e.tid == sched_tid(lane)),
+            parsed.iter().any(|e| e.ph == 'M'
+                && e.name == "thread_name"
+                && e.tid == Lane::Sched(lane).tid()),
             "scheduler lane {lane} must be named in the export"
         );
     }
     let tile_slices = parsed
         .iter()
-        .filter(|e| e.ph == 'X' && e.name.starts_with("tile ") && e.tid >= sched_tid(0))
+        .filter(|e| e.ph == 'X' && e.name.starts_with("tile ") && e.tid >= Lane::Sched(0).tid())
         .count();
     assert_eq!(
         tile_slices as u32, report.tiles,
@@ -264,7 +285,7 @@ fn scheduler_lanes_round_trip_through_the_chrome_parser() {
     assert!(
         parsed
             .iter()
-            .any(|e| e.ph == 'X' && e.name == "idle" && e.tid >= sched_tid(0)),
+            .any(|e| e.ph == 'X' && e.name == "idle" && e.tid >= Lane::Sched(0).tid()),
         "the skewed frame leaves visible idle gaps"
     );
     let steal_instants = parsed
@@ -293,12 +314,12 @@ fn fault_lanes_round_trip_through_the_chrome_parser() {
     assert!(
         parsed
             .iter()
-            .any(|e| e.ph == 'M' && e.name == "thread_name" && e.tid >= fault_tid(0)),
+            .any(|e| e.ph == 'M' && e.name == "thread_name" && e.tid >= Lane::Faults(0).tid()),
         "every accelerator the plan hit gets a named faults lane"
     );
     let injections = parsed
         .iter()
-        .filter(|e| e.ph == 'i' && e.tid >= fault_tid(0))
+        .filter(|e| e.ph == 'i' && e.tid >= Lane::Faults(0).tid())
         .filter(|e| {
             matches!(
                 e.name.as_str(),
@@ -317,7 +338,7 @@ fn fault_lanes_round_trip_through_the_chrome_parser() {
     );
     let retries = parsed
         .iter()
-        .filter(|e| e.ph == 'i' && e.name == "retry" && e.tid >= fault_tid(0))
+        .filter(|e| e.ph == 'i' && e.name == "retry" && e.tid >= Lane::Faults(0).tid())
         .count();
     assert_eq!(retries as u64, report.retries);
 
@@ -339,16 +360,16 @@ fn pipeline_lanes_round_trip_through_the_chrome_parser() {
 
     for lane in &report.lanes {
         assert!(
-            parsed
-                .iter()
-                .any(|e| e.ph == 'M' && e.name == "thread_name" && e.tid == pipe_tid(lane.accel)),
+            parsed.iter().any(|e| e.ph == 'M'
+                && e.name == "thread_name"
+                && e.tid == Lane::Pipe(lane.accel).tid()),
             "pipeline lane for accel {} must be named in the export",
             lane.accel
         );
     }
     let chunk_slices = parsed
         .iter()
-        .filter(|e| e.ph == 'X' && e.name.starts_with("s") && e.tid >= pipe_tid(0))
+        .filter(|e| e.ph == 'X' && e.name.starts_with("s") && e.tid >= Lane::Pipe(0).tid())
         .filter(|e| e.name.contains(" chunk "))
         .count();
     assert_eq!(
@@ -359,7 +380,7 @@ fn pipeline_lanes_round_trip_through_the_chrome_parser() {
     assert!(
         parsed
             .iter()
-            .any(|e| e.ph == 'X' && e.name == "input wait" && e.tid >= pipe_tid(0)),
+            .any(|e| e.ph == 'X' && e.name == "input wait" && e.tid >= Lane::Pipe(0).tid()),
         "the staged frame's uneven stage costs leave visible input-wait stalls"
     );
 
@@ -368,30 +389,53 @@ fn pipeline_lanes_round_trip_through_the_chrome_parser() {
     assert_eq!(report, untraced);
 }
 
+/// A counter block with the fifteen counters no event carries zeroed
+/// (the list in `MachineStats`'s rustdoc), leaving the thirty that
+/// `MachineStats::count` derives from events.
+fn event_derived(stats: &MachineStats) -> MachineStats {
+    MachineStats {
+        host_bytes_read: 0,
+        host_bytes_written: 0,
+        cache_hits: 0,
+        cache_misses: 0,
+        cache_evictions: 0,
+        cache_bytes_fetched: 0,
+        cache_bytes_written_back: 0,
+        accel_busy_cycles: 0,
+        recovery_fallback_cycles: 0,
+        journal_snapshots: 0,
+        journal_bytes: 0,
+        journal_snapshots_skipped: 0,
+        journal_bytes_skipped: 0,
+        dma_writebacks_elided: 0,
+        dma_writeback_bytes_elided: 0,
+        ..*stats
+    }
+}
+
+/// A `{:#?}` line's field name and value.
+fn name_value(line: &str) -> (&str, &str) {
+    let line = line.trim().trim_end_matches(',');
+    line.split_once(": ").unwrap_or(("", line))
+}
+
+/// Folding `MachineStats::count` over each capture's event log gives
+/// the machine's own event-derived counters. A mismatch names the first
+/// differing counter, machine side first.
 #[test]
-fn machine_stats_agree_with_logged_dma_events() {
-    let (machine, _) = traced_e2_frame(true);
-    let stats = machine.stats();
-    let (mut gets, mut puts, mut to_local, mut from_local) = (0u64, 0u64, 0u64, 0u64);
-    for e in machine.events().events() {
-        if let EventKind::DmaIssue { bytes, dir, .. } = e.kind {
-            match dir {
-                dma::DmaDirection::Get => {
-                    gets += 1;
-                    to_local += u64::from(bytes);
-                }
-                dma::DmaDirection::Put => {
-                    puts += 1;
-                    from_local += u64::from(bytes);
-                }
-            }
+fn machine_stats_are_a_fold_of_the_event_log() {
+    for (name, machine) in &captures() {
+        let mut folded = MachineStats::default();
+        for e in machine.events().events() {
+            folded.count(e.at, &e.kind);
+        }
+        let want = format!("{:#?}", event_derived(machine.stats()));
+        let got = format!("{:#?}", event_derived(&folded));
+        if let Some((w, g)) = want.lines().zip(got.lines()).find(|(w, g)| w != g) {
+            let ((counter, w), (_, g)) = (name_value(w), name_value(g));
+            panic!("{name}: stats.{counter}: {w} vs {g} (machine vs folded log)");
         }
     }
-    assert_eq!(stats.dma_gets, gets);
-    assert_eq!(stats.dma_puts, puts);
-    assert_eq!(stats.dma_bytes_to_local, to_local);
-    assert_eq!(stats.dma_bytes_from_local, from_local);
-    assert_eq!(stats.dma_bytes_total(), to_local + from_local);
 }
 
 #[test]

@@ -83,7 +83,8 @@
 
 use memspace::{Addr, Pod};
 use simcell::{
-    AccelCtx, Launch, LaunchSettings, Machine, ModeSet, OffloadHandle, RecoverySettings, SimError,
+    AccelCtx, EventKind, Launch, LaunchSettings, Machine, ModeSet, OffloadHandle, RecoverySettings,
+    SimError,
 };
 
 use crate::sched::{fold_lanes, recovery_since, LaneReport};
@@ -369,7 +370,13 @@ impl<'m, T: Pod> PipelineBuilder<'m, T> {
                         // Block until the producer pushed this chunk.
                         let wait = input_ready.saturating_sub(ctx.now());
                         if wait > 0 {
-                            ctx.pipe_note_wait(stage_idx, i, wait, false);
+                            ctx.note(EventKind::PipeWait {
+                                accel,
+                                stage: stage_idx,
+                                chunk: i,
+                                until: ctx.now() + wait,
+                                backpressure: false,
+                            });
                             ctx.compute(wait);
                         }
                         pop_at = ctx.now();
@@ -379,7 +386,13 @@ impl<'m, T: Pod> PipelineBuilder<'m, T> {
                         if let Some(pop) = queue_slot {
                             let wait = pop.saturating_sub(ctx.now());
                             if wait > 0 {
-                                ctx.pipe_note_wait(stage_idx, i, wait, true);
+                                ctx.note(EventKind::PipeWait {
+                                    accel,
+                                    stage: stage_idx,
+                                    chunk: i,
+                                    until: ctx.now() + wait,
+                                    backpressure: true,
+                                });
                                 ctx.compute(wait);
                             }
                         }
@@ -413,8 +426,14 @@ impl<'m, T: Pod> PipelineBuilder<'m, T> {
                     }
                     Err(e) => return Err(e),
                 };
-                let last = k + 1 == stages.len();
-                machine.pipe_note_run(start, accel, stage_idx, i, end, last);
+                let run = EventKind::PipeRun {
+                    accel,
+                    stage: stage_idx,
+                    chunk: i,
+                    end,
+                    last: k + 1 == stages.len(),
+                };
+                machine.note(start, run);
                 runs.push((accel, start, end));
                 popped[k][i as usize] = pop;
                 pushed[k][i as usize] = push;

@@ -72,8 +72,8 @@ use std::collections::VecDeque;
 
 use simcell::cost::check_cycles;
 use simcell::{
-    AccelCtx, FaultError, Launch, LaunchSettings, Machine, MachineStats, OffloadBuilder,
-    OffloadHandle, RecoverySettings, SimError,
+    AccelCtx, EventKind, FaultError, Launch, LaunchSettings, Machine, MachineStats, OffloadBuilder,
+    OffloadHandle, RecoveryKind, RecoverySettings, SimError,
 };
 
 /// How a [`TileScheduler`] maps tiles onto accelerators.
@@ -350,11 +350,23 @@ impl<'m> TileScheduler<'m> {
                     launch.run_item(ctx, tile, &mut f)
                 })?;
             if let Some(victim) = stolen_from {
-                machine.sched_note_steal(handle.start(), lane, victim, tile, steal_cost);
+                let steal = EventKind::SchedSteal {
+                    thief: lane,
+                    victim,
+                    tile,
+                    cost: steal_cost,
+                };
+                machine.note(handle.start(), steal);
                 steals += 1;
                 steal_cycles += steal_cost;
             }
-            machine.sched_note_run(handle.start(), lane, tile, handle.end(), stolen_from);
+            let run = EventKind::SchedRun {
+                accel: lane,
+                tile,
+                end: handle.end(),
+                stolen_from,
+            };
+            machine.note(handle.start(), run);
             Ok(Dispatch { tile, handle })
         };
 
@@ -408,7 +420,8 @@ impl<'m> TileScheduler<'m> {
                             losses.strand(dead, [tile])?;
                             break;
                         };
-                        machine.sched_note_enqueue(machine.host_now(), lane, tile);
+                        let enqueue = EventKind::SchedEnqueue { accel: lane, tile };
+                        machine.note(machine.host_now(), enqueue);
                         match spawn(machine, lane, tile, None) {
                             Ok(d) => {
                                 dispatches.push(d);
@@ -417,7 +430,12 @@ impl<'m> TileScheduler<'m> {
                             Err(SimError::Fault(FaultError::AccelDead { .. })) => {
                                 live.retain(|&l| l != lane);
                                 losses.evicted.push(lane);
-                                machine.recovery_note_evict(machine.host_now(), lane, 1);
+                                let recovery = RecoveryKind::Evict { tiles_moved: 1 };
+                                let evict = EventKind::RecoveryApplied {
+                                    accel: lane,
+                                    recovery,
+                                };
+                                machine.note(machine.host_now(), evict);
                                 // Greedy has no queue to drain: the
                                 // bounced tile just re-picks among the
                                 // survivors.
@@ -550,7 +568,7 @@ impl<'m> TileScheduler<'m> {
         // scheduler lanes render (zero simulated cost).
         let named = lanes.iter().map(|&lane| (lane, launch.label));
         let (lanes, finished_at) = fold_lanes(t0, named, &mut runs, |lane, from, until| {
-            machine.sched_note_idle(from, lane, until)
+            machine.note(from, EventKind::SchedIdle { accel: lane, until })
         });
         let (faults, retries, fallbacks) = recovery_since(machine, &s0);
         let report = SchedReport {
@@ -592,7 +610,14 @@ impl Losses {
     ) -> Result<bool, SimError> {
         let (dead, orphans) = queues.remove(i);
         self.evicted.push(dead);
-        machine.recovery_note_evict(machine.host_now(), dead, orphans.len() as u32);
+        let recovery = RecoveryKind::Evict {
+            tiles_moved: orphans.len() as u32,
+        };
+        let evict = EventKind::RecoveryApplied {
+            accel: dead,
+            recovery,
+        };
+        machine.note(machine.host_now(), evict);
         if queues.is_empty() {
             self.strand(dead, orphans)?;
             return Ok(false);
@@ -601,7 +626,11 @@ impl Losses {
         for (k, t) in orphans.into_iter().enumerate() {
             let (lane, queue) = &mut queues[k % survivors];
             queue.push_back(t);
-            machine.sched_note_enqueue(machine.host_now(), *lane, t);
+            let enqueue = EventKind::SchedEnqueue {
+                accel: *lane,
+                tile: t,
+            };
+            machine.note(machine.host_now(), enqueue);
         }
         Ok(true)
     }
@@ -685,7 +714,7 @@ fn split_queues(
         .map(|(i, &lane)| {
             let queue: VecDeque<u32> = (tiles * i / a..tiles * (i + 1) / a).collect();
             for &tile in &queue {
-                machine.sched_note_enqueue(t0, lane, tile);
+                machine.note(t0, EventKind::SchedEnqueue { accel: lane, tile });
             }
             (lane, queue)
         })

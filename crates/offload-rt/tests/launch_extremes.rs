@@ -335,6 +335,64 @@ fn sched_refuses_builder_declared_gathers() {
     );
 }
 
+/// A builder-declared gather whose span leaves main memory (`[3,
+/// 1_000_000]` over 64 words) or the 32-bit address range
+/// (`[u32::MAX]`). The first used to be charged as a launch whose
+/// gather failed mid-batch, leaving an `OffloadStart`, a `DmaIssue` and
+/// a `DmaWait` with no `OffloadEnd`; the second panicked in the
+/// builder. Both are now refused before the launch is armed.
+#[test]
+fn a_builder_gather_outside_main_memory_is_refused_before_anything_is_charged() {
+    for indices in [vec![3, 1_000_000], vec![u32::MAX]] {
+        let mut m = Machine::new(MachineConfig::small()).expect("valid config");
+        m.events_mut().set_enabled(true);
+        let base = data(&mut m).expect("fits");
+        let before = m.snapshot();
+        let t0 = Instant::now();
+        let result = m
+            .offload(0)
+            .gather(base, 4, indices.clone())
+            .run(|ctx| ctx.compute(100));
+        assert!(t0.elapsed() < Duration::from_secs(1), "{indices:?}");
+        assert!(
+            matches!(result, Err(SimError::Memory(_))),
+            "{indices:?}: {result:?}"
+        );
+        m.snapshot()
+            .diff(&before)
+            .unwrap_or_else(|d| panic!("{indices:?}: {d}"));
+    }
+}
+
+/// A kernel-side gather whose byte offsets pass 2^32: `[1 << 30, 5]`
+/// used to wrap element 2^30 onto element 0 and return `Ok` in release
+/// (and panic in debug), and `[u32::MAX]` panicked in debug. Both are
+/// refused before the gather allocates local store or issues a
+/// descriptor.
+#[test]
+fn a_kernel_gather_past_the_address_range_is_refused_before_it_issues() {
+    for indices in [vec![1 << 30, 5], vec![u32::MAX]] {
+        let mut m = Machine::new(MachineConfig::small()).expect("valid config");
+        let base = data(&mut m).expect("fits");
+        let t0 = Instant::now();
+        let result = m
+            .offload(0)
+            .run(|ctx| {
+                let (now, mark) = (ctx.now(), ctx.local_alloc_mark());
+                let result = ctx.gather(&simcell::GatherPlan::new(base, 4, indices.clone()));
+                assert_eq!((ctx.now(), ctx.local_alloc_mark()), (now, mark));
+                result
+            })
+            .expect("the launch itself is fine");
+        assert!(t0.elapsed() < Duration::from_secs(1), "{indices:?}");
+        assert!(
+            matches!(result, Err(SimError::Memory(_))),
+            "{indices:?}: {result:?}"
+        );
+        assert_eq!(m.stats().dma_gets, 0, "{indices:?}: no descriptor issued");
+    }
+}
+
 /// A dispatch over lanes the machine lacks used to arm its fault plan
 /// before checking the lanes, so the refused run left the plan
 /// installed.

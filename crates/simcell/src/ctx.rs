@@ -7,7 +7,7 @@ use softcache::{CacheBacking, CacheChoice, CacheError, SoftwareCache, TunedCache
 use crate::cost::CostModel;
 use crate::error::SimError;
 use crate::event::{CoreId, EventKind, EventLog};
-use crate::fault::{note_fault, DmaFault, FaultError, FaultKind, FaultPlane};
+use crate::fault::{DmaFault, FaultError, FaultKind, FaultPlane};
 use crate::trace::MachineStats;
 
 /// DMA tag reserved for synchronous "outer" accesses (the naive
@@ -150,28 +150,22 @@ impl<'m> AccelCtx<'m> {
         }
     }
 
-    /// Notes that pipeline stage `stage` is about to stall for `cycles`
-    /// before handling `chunk` — waiting on its input when
-    /// `backpressure` is false, blocked by a full inter-stage queue when
-    /// true. Bookkeeping only (counters always, a structured
-    /// [`EventKind::PipeWait`] when the log is on); the stall itself is
-    /// charged separately by the caller, via [`AccelCtx::compute`].
-    pub fn pipe_note_wait(&mut self, stage: u16, chunk: u32, cycles: u64, backpressure: bool) {
-        if backpressure {
-            self.stats.pipe_backpressure_cycles += cycles;
-        } else {
-            self.stats.pipe_input_wait_cycles += cycles;
-        }
-        self.events.record(
-            self.now,
-            EventKind::PipeWait {
-                accel: self.accel_index,
-                stage,
-                chunk,
-                until: self.now + cycles,
-                backpressure,
-            },
-        );
+    /// Counts `kind` in [`MachineStats`] (see [`MachineStats::count`])
+    /// and, when the event log is on, records it at this accelerator's
+    /// current cycle. Zero simulated cost: a pipeline stage, for one,
+    /// notes an [`EventKind::PipeWait`] here and charges the stall
+    /// itself with [`AccelCtx::compute`].
+    #[inline(always)]
+    pub fn note(&mut self, kind: EventKind) {
+        self.note_at(self.now, kind);
+    }
+
+    /// [`AccelCtx::note`] stamped at cycle `at`: a DMA command, a wait
+    /// and a gather are stamped where they began, after the clock moved.
+    #[inline(always)]
+    fn note_at(&mut self, at: u64, kind: EventKind) {
+        self.stats.count(at, &kind);
+        self.events.record(at, kind);
     }
 
     // ---- access modes ----------------------------------------------------
@@ -351,13 +345,8 @@ impl<'m> AccelCtx<'m> {
         if self.faults.active() {
             let rate = self.faults.plan().map(|p| p.ls_poison).unwrap_or(0.0);
             if self.faults.roll(rate) {
-                note_fault(
-                    self.stats,
-                    self.events,
-                    self.accel_index,
-                    self.now,
-                    FaultKind::LsPoison,
-                );
+                let (accel, fault) = (self.accel_index, FaultKind::LsPoison);
+                self.note(EventKind::FaultInjected { accel, fault });
                 return Err(FaultError::LsPoisoned {
                     accel: self.accel_index,
                 }
@@ -365,50 +354,6 @@ impl<'m> AccelCtx<'m> {
             }
         }
         Ok(())
-    }
-
-    /// Counts one DMA command in [`MachineStats`] and, when the event
-    /// log is enabled, records a [`EventKind::DmaIssue`] stamped at
-    /// `issued_at` with the completion cycle the engine just computed.
-    /// Pure bookkeeping: no simulated cycles.
-    fn trace_dma(&mut self, issued_at: u64, bytes: u32, tag: Tag, dir: DmaDirection) {
-        match dir {
-            DmaDirection::Get => {
-                self.stats.dma_gets += 1;
-                self.stats.dma_bytes_to_local += u64::from(bytes);
-            }
-            DmaDirection::Put => {
-                self.stats.dma_puts += 1;
-                self.stats.dma_bytes_from_local += u64::from(bytes);
-            }
-        }
-        if self.events.is_enabled() {
-            self.events.record(
-                issued_at,
-                EventKind::DmaIssue {
-                    accel: self.accel_index,
-                    tag: tag.raw(),
-                    bytes,
-                    dir,
-                    complete_at: self.dma.last_complete_at(),
-                },
-            );
-        }
-    }
-
-    /// Records a [`EventKind::DmaWait`] covering `[issued_at, self.now]`
-    /// when the event log is enabled.
-    fn trace_wait(&mut self, issued_at: u64, mask: TagMask) {
-        if self.events.is_enabled() {
-            self.events.record(
-                issued_at,
-                EventKind::DmaWait {
-                    accel: self.accel_index,
-                    mask: mask.bits(),
-                    resumed_at: self.now,
-                },
-            );
-        }
     }
 
     /// Diffs a cache's counters across one routed access and emits
@@ -429,36 +374,30 @@ impl<'m> AccelCtx<'m> {
         self.stats.cache_evictions += evictions;
         self.stats.cache_bytes_fetched += bytes_fetched;
         self.stats.cache_bytes_written_back += bytes_written_back;
-        if self.events.is_enabled() {
-            let accel = self.accel_index;
-            if hits > 0 {
-                self.events.record(
-                    at,
-                    EventKind::CacheHit {
-                        accel,
-                        count: hits as u32,
-                    },
-                );
-            }
-            if misses > 0 {
-                self.events.record(
-                    at,
-                    EventKind::CacheMiss {
-                        accel,
-                        count: misses as u32,
-                        bytes_fetched,
-                    },
-                );
-            }
-            if evictions > 0 {
-                self.events.record(
-                    at,
-                    EventKind::CacheEvict {
-                        accel,
-                        count: evictions as u32,
-                    },
-                );
-            }
+        // The cache counters are the direct adds above, so with the log
+        // off the cache events have nothing left to count.
+        if !self.events.is_enabled() {
+            return;
+        }
+        let accel = self.accel_index;
+        if hits > 0 {
+            let count = hits as u32;
+            self.note_at(at, EventKind::CacheHit { accel, count });
+        }
+        if misses > 0 {
+            let count = misses as u32;
+            self.note_at(
+                at,
+                EventKind::CacheMiss {
+                    accel,
+                    count,
+                    bytes_fetched,
+                },
+            );
+        }
+        if evictions > 0 {
+            let count = evictions as u32;
+            self.note_at(at, EventKind::CacheEvict { accel, count });
         }
     }
 
@@ -468,24 +407,14 @@ impl<'m> AccelCtx<'m> {
     /// never advances the clock). Pair with [`AccelCtx::span_end`] using
     /// the same name.
     pub fn span_start(&mut self, name: &'static str) {
-        self.events.record(
-            self.now,
-            EventKind::SpanStart {
-                core: CoreId::Accel(self.accel_index),
-                name,
-            },
-        );
+        let core = CoreId::Accel(self.accel_index);
+        self.note(EventKind::SpanStart { core, name });
     }
 
     /// Closes the innermost span opened with [`AccelCtx::span_start`].
     pub fn span_end(&mut self, name: &'static str) {
-        self.events.record(
-            self.now,
-            EventKind::SpanEnd {
-                core: CoreId::Accel(self.accel_index),
-                name,
-            },
-        );
+        let core = CoreId::Accel(self.accel_index);
+        self.note(EventKind::SpanEnd { core, name });
     }
 
     /// Records a static annotation stamped at this accelerator's current
@@ -729,7 +658,16 @@ impl<'m> AccelCtx<'m> {
             self.dma
                 .get(self.now, local, remote, size, tag, self.main, self.ls)?
         };
-        self.trace_dma(issued_at, size, tag, direction);
+        self.note_at(
+            issued_at,
+            EventKind::DmaIssue {
+                accel: self.accel_index,
+                tag: tag.raw(),
+                bytes: size,
+                dir: direction,
+                complete_at: self.dma.last_complete_at(),
+            },
+        );
         if let Some(fault) = fault {
             let dest = if put { &mut *self.main } else { &mut *self.ls };
             let (accel, tag, bytes) = (self.accel_index, tag.raw(), size);
@@ -745,7 +683,7 @@ impl<'m> AccelCtx<'m> {
                     (FaultKind::DmaCorrupt { tag, bytes }, error)
                 }
             };
-            note_fault(self.stats, self.events, accel, self.now, kind);
+            self.note(EventKind::FaultInjected { accel, fault: kind });
             return Err(error.into());
         }
         if sync && !fused {
@@ -766,16 +704,10 @@ impl<'m> AccelCtx<'m> {
             None => return,
         };
         if self.faults.roll(plan.tag_timeout) {
-            note_fault(
-                self.stats,
-                self.events,
-                self.accel_index,
-                self.now,
-                FaultKind::TagTimeout {
-                    stall: plan.timeout_stall,
-                },
-            );
-            self.now += plan.timeout_stall;
+            let (accel, stall) = (self.accel_index, plan.timeout_stall);
+            let fault = FaultKind::TagTimeout { stall };
+            self.note(EventKind::FaultInjected { accel, fault });
+            self.now += stall;
             self.fault_sticky = Some(FaultError::TagTimeout {
                 accel: self.accel_index,
                 mask: mask.bits(),
@@ -835,7 +767,14 @@ impl<'m> AccelCtx<'m> {
             0
         };
         self.now = self.dma.wait(mask, self.now);
-        self.trace_wait(issued_at, mask);
+        self.note_at(
+            issued_at,
+            EventKind::DmaWait {
+                accel: self.accel_index,
+                mask: mask.bits(),
+                resumed_at: self.now,
+            },
+        );
         self.after_wait_roll(pending, mask);
     }
 
@@ -877,14 +816,16 @@ impl<'m> AccelCtx<'m> {
     /// # Errors
     ///
     /// Surfaces pending sticky faults and injected transfer faults;
-    /// fails with [`SimError::UndeclaredRead`] when the offload
+    /// fails with [`memspace::MemError::AddressOverflow`] when an
+    /// element's byte offset passes the 32-bit address range, and with
+    /// [`SimError::UndeclaredRead`] when the offload
     /// declared access modes and a descriptor is not covered by a
     /// `read`/`update` declaration (checked before any byte moves);
     /// fails on local-store exhaustion or bounds violations.
     pub fn gather(&mut self, plan: &crate::GatherPlan) -> Result<Addr, SimError> {
         self.check_faults()?;
         let tag = Tag::new(GATHER_TAG).expect("constant tag is valid");
-        let descs = plan.descriptors();
+        let descs = plan.descriptors()?;
         // Reject undeclared reads before any byte moves or cycles are
         // charged: the whole batch is licensed or none of it is.
         for d in &descs {
@@ -930,22 +871,16 @@ impl<'m> AccelCtx<'m> {
             self.ls.restore_alloc(mark);
             return Err(err);
         }
-        self.stats.gathers += 1;
-        self.stats.gather_elems += plan.len() as u64;
-        self.stats.gather_descriptors += descs.len() as u64;
-        self.stats.gather_bytes += u64::from(plan.total_bytes());
-        if self.events.is_enabled() {
-            self.events.record(
-                issued_at,
-                EventKind::Gather {
-                    accel: self.accel_index,
-                    elems: plan.len() as u32,
-                    descriptors: descs.len() as u32,
-                    bytes: plan.total_bytes(),
-                    complete_at: self.now,
-                },
-            );
-        }
+        self.note_at(
+            issued_at,
+            EventKind::Gather {
+                accel: self.accel_index,
+                elems: plan.len() as u32,
+                descriptors: descs.len() as u32,
+                bytes: plan.total_bytes(),
+                complete_at: self.now,
+            },
+        );
         Ok(local)
     }
 

@@ -201,6 +201,9 @@ pub enum EventKind {
         chunk: u32,
         /// Accelerator cycle at which the chunk finished (push complete).
         end: u64,
+        /// Whether the stage is the pipeline's last, so the chunk left
+        /// the pipeline (counted in `pipe_chunks`; not exported).
+        last: bool,
     },
     /// A pipeline stage stalled from `at` (the event cycle) to `until`,
     /// either waiting for its input chunk to be produced or blocked by
@@ -247,57 +250,397 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-impl Event {
-    /// The core whose clock stamped this event.
-    ///
-    /// Notes are stamped by the host; every accelerator-side kind names
-    /// its accelerator.
-    pub fn core(&self) -> CoreId {
-        match &self.kind {
-            EventKind::OffloadStart { accel, .. }
-            | EventKind::OffloadEnd { accel }
-            | EventKind::DmaIssue { accel, .. }
-            | EventKind::DmaWait { accel, .. }
-            | EventKind::Gather { accel, .. }
-            | EventKind::CacheHit { accel, .. }
-            | EventKind::CacheMiss { accel, .. }
-            | EventKind::CacheEvict { accel, .. }
-            | EventKind::LsHighWater { accel, .. }
-            | EventKind::SchedEnqueue { accel, .. }
-            | EventKind::SchedRun { accel, .. }
-            | EventKind::SchedIdle { accel, .. }
-            | EventKind::PipeRun { accel, .. }
-            | EventKind::PipeWait { accel, .. }
-            | EventKind::FaultInjected { accel, .. }
-            | EventKind::RecoveryApplied { accel, .. } => CoreId::Accel(*accel),
-            EventKind::SchedSteal { thief, .. } => CoreId::Accel(*thief),
-            EventKind::Join { .. } | EventKind::Note { .. } => CoreId::Host,
-            EventKind::SpanStart { core, .. } | EventKind::SpanEnd { core, .. } => *core,
+/// The lane an event draws on: a thread of the Chrome export and a row
+/// of the ASCII timeline. [`Lane::tid`] owns the export's thread-id
+/// layout.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum Lane {
+    /// The host core (tid 0).
+    Host,
+    /// An accelerator's execution lane (tid `1 + n`).
+    Accel(u16),
+    /// An accelerator's DMA transfers, issue to completion (tid `100 + n`).
+    Dma(u16),
+    /// An accelerator's scheduler lane: tile runs, idle gaps, enqueues
+    /// and steals (tid `200 + n`; see `offload_rt::sched`).
+    Sched(u16),
+    /// An accelerator's injected faults and recovery actions (tid
+    /// `300 + n`; see [`crate::fault`]).
+    Faults(u16),
+    /// An accelerator's pipeline stage runs and stalls (tid `400 + n`;
+    /// see `offload_rt::pipeline`).
+    Pipe(u16),
+    /// An accelerator's gather batches, issue to drain (tid `500 + n`;
+    /// see [`crate::AccelCtx::gather`]).
+    Gather(u16),
+}
+
+impl Lane {
+    /// The lane's label, tid base and accelerator (`None` for the host).
+    const fn parts(self) -> (&'static str, u64, Option<u16>) {
+        match self {
+            Lane::Host => ("host", 0, None),
+            Lane::Accel(n) => ("accel", 1, Some(n)),
+            Lane::Dma(n) => ("dma", 100, Some(n)),
+            Lane::Sched(n) => ("sched", 200, Some(n)),
+            Lane::Faults(n) => ("faults", 300, Some(n)),
+            Lane::Pipe(n) => ("pipe", 400, Some(n)),
+            Lane::Gather(n) => ("gather", 500, Some(n)),
         }
+    }
+
+    /// The lane's thread id in the Chrome export.
+    pub const fn tid(self) -> u64 {
+        match self.parts() {
+            (_, base, Some(n)) => base + n as u64,
+            (_, base, None) => base,
+        }
+    }
+
+    /// The accelerator the lane belongs to; `None` for the host.
+    pub(crate) const fn accel(self) -> Option<u16> {
+        self.parts().2
+    }
+
+    /// The execution lane of `core`.
+    pub(crate) fn of(core: CoreId) -> Lane {
+        match core {
+            CoreId::Host => Lane::Host,
+            CoreId::Accel(n) => Lane::Accel(n),
+        }
+    }
+}
+
+/// The lane's thread name in the Chrome export: `host`, `accel 0`,
+/// `dma 0`, `sched 0`, `faults 0`, `pipe 0` or `gather 0`.
+impl fmt::Display for Lane {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.parts() {
+            (label, _, Some(n)) => write!(f, "{label} {n}"),
+            (label, _, None) => f.write_str(label),
+        }
+    }
+}
+
+/// How an event draws in the Chrome export: its trace-event phase.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Phase {
+    /// A point in time (`i`).
+    Instant,
+    /// A slice from the event's cycle to the shape's end (`X`).
+    Complete,
+    /// Opens a span that an [`Phase::End`] of the same name on the same
+    /// lane closes (`B`).
+    Begin,
+    /// Closes the innermost open span of its name on its lane (`E`).
+    End,
+    /// A counter-track sample (`C`).
+    Counter,
+    /// Opens a slice that the next [`Phase::Close`] on the same lane
+    /// completes. The pair exports as one complete slice named by the
+    /// open, and an open the log never closes as a `B`.
+    Open,
+    /// Completes the innermost [`Phase::Open`] on its lane.
+    Close,
+}
+
+impl Phase {
+    /// The Chrome `ph` letter of a phase written as is.
+    pub(crate) fn ph(self) -> char {
+        match self {
+            Phase::Instant => 'i',
+            Phase::Complete => 'X',
+            Phase::Begin | Phase::Open => 'B',
+            Phase::End | Phase::Close => 'E',
+            Phase::Counter => 'C',
+        }
+    }
+}
+
+/// An event's name in the Chrome export and on timeline bars.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Name<'a> {
+    /// Text as it stands (JSON-escaped on export).
+    Text(&'a str),
+    /// A scheduler tile run: `tile N`.
+    Tile(u32),
+    /// A pipeline chunk run: `s<stage> chunk N`.
+    StageChunk(u16, u32),
+}
+
+impl fmt::Display for Name<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Name::Text(text) => f.write_str(text),
+            Name::Tile(tile) => write!(f, "tile {tile}"),
+            Name::StageChunk(stage, chunk) => write!(f, "s{stage} chunk {chunk}"),
+        }
+    }
+}
+
+/// One export arg's value: a number, or a stable kind string.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Arg {
+    Num(u64),
+    Str(&'static str),
+}
+
+/// What an event looks like to the Chrome exporter, the ASCII timeline
+/// and [`Event::core`]: its lane, Chrome phase, name, end cycle and
+/// export args. Built by [`Event::shape`].
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub(crate) struct Shape<'a> {
+    pub(crate) lane: Lane,
+    pub(crate) phase: Phase,
+    /// A [`Phase::Close`] takes its open's name.
+    pub(crate) name: Name<'a>,
+    /// The cycle its slice ends at: the event's own cycle for anything
+    /// but a complete slice, and never before it.
+    pub(crate) end: u64,
+    args: [(&'static str, Arg); 5],
+    len: usize,
+}
+
+impl<'a> Shape<'a> {
+    #[inline(always)]
+    fn new(lane: Lane, phase: Phase, name: Name<'a>) -> Shape<'a> {
+        let (end, args, len) = (0, [("", Arg::Num(0)); 5], 0);
+        Shape {
+            lane,
+            phase,
+            name,
+            end,
+            args,
+            len,
+        }
+    }
+
+    /// The shape with its slice ending at `end`.
+    #[inline(always)]
+    fn until(self, end: u64) -> Shape<'a> {
+        Shape { end, ..self }
+    }
+
+    /// The shape with `key: value` appended to its args.
+    #[inline(always)]
+    fn arg(mut self, key: &'static str, value: Arg) -> Shape<'a> {
+        self.args[self.len] = (key, value);
+        self.len += 1;
+        self
+    }
+
+    /// The shape with the number `key: value` appended to its args.
+    #[inline(always)]
+    fn num(self, key: &'static str, value: impl Into<u64>) -> Shape<'a> {
+        self.arg(key, Arg::Num(value.into()))
+    }
+
+    /// The export args, in order.
+    pub(crate) fn args(&self) -> &[(&'static str, Arg)] {
+        &self.args[..self.len]
+    }
+
+    /// Whether this shape closes `open`: an end closes a begin of its
+    /// name on its lane, a close any open on its lane.
+    pub(crate) fn closes(&self, open: &Shape<'_>) -> bool {
+        self.lane == open.lane
+            && match (open.phase, self.phase) {
+                (Phase::Begin, Phase::End) => open.name == self.name,
+                (Phase::Open, Phase::Close) => true,
+                _ => false,
+            }
+    }
+}
+
+impl Event {
+    /// How the event draws: the one place each kind declares its lane,
+    /// Chrome phase, name, end cycle and args, in export order.
+    #[inline(always)]
+    pub(crate) fn shape(&self) -> Shape<'_> {
+        use crate::fault::{FaultKind, RecoveryKind};
+        use Name::{StageChunk, Text, Tile};
+        use Phase::{Begin, Close, Complete, Counter, End, Instant, Open};
+        let shape = match self.kind {
+            EventKind::OffloadStart { accel, name } => {
+                Shape::new(Lane::Accel(accel), Open, Text(name)).num("accel", accel)
+            }
+            EventKind::OffloadEnd { accel } => {
+                Shape::new(Lane::Accel(accel), Close, Text("")).num("accel", accel)
+            }
+            EventKind::Join { accel } => {
+                Shape::new(Lane::Host, Instant, Text("join")).num("accel", accel)
+            }
+            EventKind::Note { ref text } => Shape::new(Lane::Host, Instant, Text(text)),
+            EventKind::SpanStart { core, name } => Shape::new(Lane::of(core), Begin, Text(name)),
+            EventKind::SpanEnd { core, name } => Shape::new(Lane::of(core), End, Text(name)),
+            EventKind::DmaIssue {
+                accel,
+                tag,
+                bytes,
+                dir,
+                complete_at,
+            } => {
+                let name = match dir {
+                    DmaDirection::Get => "dma_get",
+                    DmaDirection::Put => "dma_put",
+                };
+                Shape::new(Lane::Dma(accel), Complete, Text(name))
+                    .until(complete_at)
+                    .num("tag", tag)
+                    .num("bytes", bytes)
+            }
+            EventKind::DmaWait {
+                accel,
+                mask,
+                resumed_at,
+            } => Shape::new(Lane::Accel(accel), Complete, Text("dma_wait"))
+                .until(resumed_at)
+                .num("mask", mask),
+            EventKind::Gather {
+                accel,
+                elems,
+                descriptors,
+                bytes,
+                complete_at,
+            } => Shape::new(Lane::Gather(accel), Complete, Text("gather"))
+                .until(complete_at)
+                .num("elems", elems)
+                .num("descriptors", descriptors)
+                .num("bytes", bytes),
+            EventKind::CacheHit { accel, count } => {
+                Shape::new(Lane::Accel(accel), Instant, Text("cache_hit")).num("count", count)
+            }
+            EventKind::CacheMiss {
+                accel,
+                count,
+                bytes_fetched,
+            } => Shape::new(Lane::Accel(accel), Instant, Text("cache_miss"))
+                .num("count", count)
+                .num("bytes_fetched", bytes_fetched),
+            EventKind::CacheEvict { accel, count } => {
+                Shape::new(Lane::Accel(accel), Instant, Text("cache_evict")).num("count", count)
+            }
+            EventKind::LsHighWater { accel, bytes } => {
+                Shape::new(Lane::Accel(accel), Counter, Text("ls_high_water")).num("bytes", bytes)
+            }
+            EventKind::SchedEnqueue { accel, tile } => {
+                Shape::new(Lane::Sched(accel), Instant, Text("enqueue")).num("tile", tile)
+            }
+            EventKind::SchedRun {
+                accel,
+                tile,
+                end,
+                stolen_from,
+            } => {
+                let shape = Shape::new(Lane::Sched(accel), Complete, Tile(tile))
+                    .until(end)
+                    .num("tile", tile)
+                    .num("accel", accel);
+                match stolen_from {
+                    Some(victim) => shape.num("stolen_from", victim),
+                    None => shape,
+                }
+            }
+            EventKind::SchedIdle { accel, until } => {
+                Shape::new(Lane::Sched(accel), Complete, Text("idle"))
+                    .until(until)
+                    .num("accel", accel)
+            }
+            EventKind::SchedSteal {
+                thief,
+                victim,
+                tile,
+                cost,
+            } => Shape::new(Lane::Sched(thief), Instant, Text("steal"))
+                .num("victim", victim)
+                .num("tile", tile)
+                .num("cost", cost),
+            EventKind::PipeRun {
+                accel,
+                stage,
+                chunk,
+                end,
+                last: _,
+            } => Shape::new(Lane::Pipe(accel), Complete, StageChunk(stage, chunk))
+                .until(end)
+                .num("accel", accel)
+                .num("stage", stage)
+                .num("chunk", chunk),
+            EventKind::PipeWait {
+                accel,
+                stage,
+                chunk,
+                until,
+                backpressure,
+            } => {
+                let name = if backpressure {
+                    "backpressure"
+                } else {
+                    "input wait"
+                };
+                Shape::new(Lane::Pipe(accel), Complete, Text(name))
+                    .until(until)
+                    .num("accel", accel)
+                    .num("stage", stage)
+                    .num("chunk", chunk)
+            }
+            EventKind::FaultInjected { accel, fault } => {
+                let shape = Shape::new(Lane::Faults(accel), Instant, Text(fault.name()))
+                    .num("accel", accel)
+                    .arg("kind", Arg::Str(fault.name()));
+                match fault {
+                    FaultKind::DmaCorrupt { tag, bytes } | FaultKind::DmaDrop { tag, bytes } => {
+                        shape.num("tag", tag).num("bytes", bytes)
+                    }
+                    FaultKind::TagTimeout { stall } => shape.num("stall", stall),
+                    FaultKind::AccelStall { cycles } => shape.num("cycles", cycles),
+                    FaultKind::AccelDeath | FaultKind::LsPoison => shape,
+                }
+            }
+            EventKind::RecoveryApplied { accel, recovery } => {
+                let shape = Shape::new(Lane::Faults(accel), Instant, Text(recovery.name()))
+                    .num("accel", accel)
+                    .arg("kind", Arg::Str(recovery.name()));
+                match recovery {
+                    RecoveryKind::Retry {
+                        tile,
+                        attempt,
+                        backoff,
+                    } => shape
+                        .num("tile", tile)
+                        .num("attempt", attempt)
+                        .num("backoff", backoff),
+                    RecoveryKind::Evict { tiles_moved } => shape.num("tiles_moved", tiles_moved),
+                    RecoveryKind::HostFallback { tile } => shape.num("tile", tile),
+                }
+            }
+        };
+        shape.until(shape.end.max(self.at))
+    }
+
+    /// The core whose clock stamped this event: the core of the lane it
+    /// draws on.
+    pub fn core(&self) -> CoreId {
+        self.shape()
+            .lane
+            .accel()
+            .map_or(CoreId::Host, CoreId::Accel)
     }
 }
 
 impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use crate::fault::{FaultKind, RecoveryKind};
+        write!(f, "[{:>10}] ", self.at)?;
         match &self.kind {
             EventKind::OffloadStart { accel, name } => {
-                write!(
-                    f,
-                    "[{:>10}] offload start on accel {accel} ({name})",
-                    self.at
-                )
+                write!(f, "offload start on accel {accel} ({name})")
             }
-            EventKind::OffloadEnd { accel } => {
-                write!(f, "[{:>10}] offload end on accel {accel}", self.at)
-            }
-            EventKind::Join { accel } => write!(f, "[{:>10}] join accel {accel}", self.at),
-            EventKind::Note { text } => write!(f, "[{:>10}] {text}", self.at),
-            EventKind::SpanStart { core, name } => {
-                write!(f, "[{:>10}] {core}: begin {name}", self.at)
-            }
-            EventKind::SpanEnd { core, name } => {
-                write!(f, "[{:>10}] {core}: end   {name}", self.at)
-            }
+            EventKind::OffloadEnd { accel } => write!(f, "offload end on accel {accel}"),
+            EventKind::Join { accel } => write!(f, "join accel {accel}"),
+            EventKind::Note { text } => write!(f, "{text}"),
+            EventKind::SpanStart { core, name } => write!(f, "{core}: begin {name}"),
+            EventKind::SpanEnd { core, name } => write!(f, "{core}: end   {name}"),
             EventKind::DmaIssue {
                 accel,
                 tag,
@@ -306,8 +649,7 @@ impl fmt::Display for Event {
                 complete_at,
             } => write!(
                 f,
-                "[{:>10}] accel {accel}: dma_{dir} tag{tag} {bytes} B (completes at {complete_at})",
-                self.at
+                "accel {accel}: dma_{dir} tag{tag} {bytes} B (completes at {complete_at})"
             ),
             EventKind::DmaWait {
                 accel,
@@ -315,8 +657,7 @@ impl fmt::Display for Event {
                 resumed_at,
             } => write!(
                 f,
-                "[{:>10}] accel {accel}: dma_wait mask {mask:#010x} (resumed at {resumed_at})",
-                self.at
+                "accel {accel}: dma_wait mask {mask:#010x} (resumed at {resumed_at})"
             ),
             EventKind::Gather {
                 accel,
@@ -326,53 +667,40 @@ impl fmt::Display for Event {
                 complete_at,
             } => write!(
                 f,
-                "[{:>10}] accel {accel}: gather {elems} elems via {descriptors} descriptors, \
-                 {bytes} B (drained at {complete_at})",
-                self.at
+                "accel {accel}: gather {elems} elems via {descriptors} descriptors, \
+                 {bytes} B (drained at {complete_at})"
             ),
-            EventKind::CacheHit { accel, count } => {
-                write!(f, "[{:>10}] accel {accel}: cache hit x{count}", self.at)
-            }
+            EventKind::CacheHit { accel, count } => write!(f, "accel {accel}: cache hit x{count}"),
             EventKind::CacheMiss {
                 accel,
                 count,
                 bytes_fetched,
             } => write!(
                 f,
-                "[{:>10}] accel {accel}: cache miss x{count} ({bytes_fetched} B fetched)",
-                self.at
+                "accel {accel}: cache miss x{count} ({bytes_fetched} B fetched)"
             ),
             EventKind::CacheEvict { accel, count } => {
-                write!(f, "[{:>10}] accel {accel}: cache evict x{count}", self.at)
+                write!(f, "accel {accel}: cache evict x{count}")
             }
-            EventKind::LsHighWater { accel, bytes } => write!(
-                f,
-                "[{:>10}] accel {accel}: local-store high water {bytes} B",
-                self.at
-            ),
+            EventKind::LsHighWater { accel, bytes } => {
+                write!(f, "accel {accel}: local-store high water {bytes} B")
+            }
             EventKind::SchedEnqueue { accel, tile } => {
-                write!(f, "[{:>10}] sched: tile {tile} -> accel {accel}", self.at)
+                write!(f, "sched: tile {tile} -> accel {accel}")
             }
             EventKind::SchedRun {
                 accel,
                 tile,
                 end,
                 stolen_from,
-            } => match stolen_from {
-                Some(victim) => write!(
-                    f,
-                    "[{:>10}] accel {accel}: run tile {tile} until {end} (stolen from accel {victim})",
-                    self.at
-                ),
-                None => write!(
-                    f,
-                    "[{:>10}] accel {accel}: run tile {tile} until {end}",
-                    self.at
-                ),
-            },
-            EventKind::SchedIdle { accel, until } => {
-                write!(f, "[{:>10}] accel {accel}: idle until {until}", self.at)
+            } => {
+                write!(f, "accel {accel}: run tile {tile} until {end}")?;
+                match stolen_from {
+                    Some(victim) => write!(f, " (stolen from accel {victim})"),
+                    None => Ok(()),
+                }
             }
+            EventKind::SchedIdle { accel, until } => write!(f, "accel {accel}: idle until {until}"),
             EventKind::SchedSteal {
                 thief,
                 victim,
@@ -380,18 +708,17 @@ impl fmt::Display for Event {
                 cost,
             } => write!(
                 f,
-                "[{:>10}] sched: accel {thief} steals tile {tile} from accel {victim} (+{cost} cycles)",
-                self.at
+                "sched: accel {thief} steals tile {tile} from accel {victim} (+{cost} cycles)"
             ),
             EventKind::PipeRun {
                 accel,
                 stage,
                 chunk,
                 end,
+                ..
             } => write!(
                 f,
-                "[{:>10}] accel {accel}: pipe stage {stage} chunk {chunk} until {end}",
-                self.at
+                "accel {accel}: pipe stage {stage} chunk {chunk} until {end}"
             ),
             EventKind::PipeWait {
                 accel,
@@ -407,21 +734,17 @@ impl fmt::Display for Event {
                 };
                 write!(
                     f,
-                    "[{:>10}] accel {accel}: pipe stage {stage} chunk {chunk} {why} until {until}",
-                    self.at
+                    "accel {accel}: pipe stage {stage} chunk {chunk} {why} until {until}"
                 )
             }
             EventKind::FaultInjected { accel, fault } => {
-                use crate::fault::FaultKind;
-                write!(f, "[{:>10}] accel {accel}: fault ", self.at)?;
+                write!(f, "accel {accel}: fault ")?;
                 match fault {
                     FaultKind::DmaCorrupt { tag, bytes } => {
                         write!(f, "dma_corrupt tag{tag} {bytes} B")
                     }
                     FaultKind::DmaDrop { tag, bytes } => write!(f, "dma_drop tag{tag} {bytes} B"),
-                    FaultKind::TagTimeout { stall } => {
-                        write!(f, "tag_timeout (+{stall} cycles)")
-                    }
+                    FaultKind::TagTimeout { stall } => write!(f, "tag_timeout (+{stall} cycles)"),
                     FaultKind::AccelStall { cycles } => {
                         write!(f, "accel_stall (+{cycles} cycles)")
                     }
@@ -430,8 +753,7 @@ impl fmt::Display for Event {
                 }
             }
             EventKind::RecoveryApplied { accel, recovery } => {
-                use crate::fault::RecoveryKind;
-                write!(f, "[{:>10}] accel {accel}: recovery ", self.at)?;
+                write!(f, "accel {accel}: recovery ")?;
                 match recovery {
                     RecoveryKind::Retry {
                         tile,
@@ -441,9 +763,7 @@ impl fmt::Display for Event {
                     RecoveryKind::Evict { tiles_moved } => {
                         write!(f, "evict ({tiles_moved} tiles redistributed)")
                     }
-                    RecoveryKind::HostFallback { tile } => {
-                        write!(f, "host_fallback tile {tile}")
-                    }
+                    RecoveryKind::HostFallback { tile } => write!(f, "host_fallback tile {tile}"),
                 }
             }
         }
@@ -491,10 +811,19 @@ impl EventLog {
     }
 
     /// Records an event if enabled.
+    #[inline(always)]
     pub fn record(&mut self, at: u64, kind: EventKind) {
         if self.enabled {
-            self.events.push(Event { at, kind });
+            self.push(Event { at, kind });
         }
+    }
+
+    /// The recording half of [`EventLog::record`], out of line so that
+    /// each call site, inlined into hot paths such as local-store reads,
+    /// stays a flag test.
+    #[inline(never)]
+    fn push(&mut self, event: Event) {
+        self.events.push(event);
     }
 
     /// Records a static annotation without allocating: the text is a
@@ -708,6 +1037,7 @@ mod tests {
                 stage: 1,
                 chunk: 4,
                 end: 900,
+                last: true,
             },
         };
         assert_eq!(e.core(), CoreId::Accel(2));
@@ -778,5 +1108,14 @@ mod tests {
             },
         };
         assert!(e.to_string().contains("host_fallback tile 3"));
+
+        let e = Event {
+            at: 1,
+            kind: EventKind::RecoveryApplied {
+                accel: 0,
+                recovery: RecoveryKind::Evict { tiles_moved: 2 },
+            },
+        };
+        assert!(e.to_string().contains("evict (2 tiles redistributed)"));
     }
 }

@@ -44,8 +44,6 @@ use xrng::Rng;
 
 use crate::cost::check_cycles;
 use crate::error::SimError;
-use crate::event::{EventKind, EventLog};
-use crate::trace::MachineStats;
 
 /// A seeded, declarative schedule of fault rates.
 ///
@@ -333,35 +331,6 @@ impl FaultKind {
             FaultKind::LsPoison => "ls_poison",
         }
     }
-}
-
-/// Records a fault injected on accelerator `accel` at cycle `at`:
-/// always counts it in `stats`, and records the structured event when
-/// the log is on. Zero simulated cost. The one recording path for
-/// every fault, whether a launch or a running context rolled it.
-pub(crate) fn note_fault(
-    stats: &mut MachineStats,
-    events: &mut EventLog,
-    accel: u16,
-    at: u64,
-    fault: FaultKind,
-) {
-    stats.faults_injected += 1;
-    match fault {
-        FaultKind::DmaCorrupt { .. } => stats.fault_dma_corrupt += 1,
-        FaultKind::DmaDrop { .. } => stats.fault_dma_drop += 1,
-        FaultKind::TagTimeout { stall } => {
-            stats.fault_timeouts += 1;
-            stats.fault_stall_cycles += stall;
-        }
-        FaultKind::AccelStall { cycles } => {
-            stats.fault_stalls += 1;
-            stats.fault_stall_cycles += cycles;
-        }
-        FaultKind::AccelDeath => stats.fault_deaths += 1,
-        FaultKind::LsPoison => stats.fault_ls_poison += 1,
-    }
-    events.record(at, EventKind::FaultInjected { accel, fault });
 }
 
 /// What kind of recovery action the runtime took, for the EventLog

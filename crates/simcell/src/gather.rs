@@ -15,7 +15,7 @@
 //! dense array regardless of how scattered the remote picture was.
 
 use dma::MAX_TRANSFER;
-use memspace::Addr;
+use memspace::{Addr, MemError};
 
 /// One coalesced transfer of a [`GatherPlan`]: `bytes` starting at
 /// `base + remote_offset` land at `local_base + local_offset`.
@@ -93,14 +93,22 @@ impl GatherPlan {
     /// The `(base, len)` main-memory footprint covering every requested
     /// element — the range an implicit `reads` declaration must cover.
     /// `None` for an empty plan.
-    pub fn span(&self) -> Option<(Addr, u32)> {
-        let lo = *self.indices.iter().min()?;
-        let hi = *self.indices.iter().max()?;
-        let start = self
-            .base
-            .offset_by(lo * self.elem_size)
-            .expect("gather span start overflows address space");
-        Some((start, (hi - lo + 1) * self.elem_size))
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::AddressOverflow`] when the span passes the 32-bit
+    /// address range.
+    pub fn span(&self) -> Result<Option<(Addr, u32)>, MemError> {
+        let (Some(&lo), Some(&hi)) = (self.indices.iter().min(), self.indices.iter().max()) else {
+            return Ok(None);
+        };
+        let start = self.base.element(lo, self.elem_size)?;
+        let len = (hi - lo)
+            .checked_add(1)
+            .and_then(|n| n.checked_mul(self.elem_size))
+            .ok_or_else(|| self.overflow())?;
+        start.offset_by(len)?;
+        Ok(Some((start, len)))
     }
 
     /// The coalesced descriptor batch, in index-list order.
@@ -110,7 +118,13 @@ impl GatherPlan {
     /// [`dma::MAX_TRANSFER`] split into engine-sized pieces. Because the
     /// walk preserves request order, descriptor `local_offset`s tile the
     /// packed buffer densely from zero.
-    pub fn descriptors(&self) -> Vec<GatherDescriptor> {
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::AddressOverflow`] when an element's byte offset from
+    /// the base, or the packed buffer's size, passes the 32-bit address
+    /// range.
+    pub fn descriptors(&self) -> Result<Vec<GatherDescriptor>, MemError> {
         let mut out = Vec::new();
         let elem = self.elem_size;
         let mut i = 0usize;
@@ -120,13 +134,22 @@ impl GatherPlan {
             let start = self.indices[i];
             let mut run = 1u32;
             while i + run as usize != self.indices.len()
-                && self.indices[i + run as usize] == start + run
+                && start.checked_add(run) == Some(self.indices[i + run as usize])
             {
                 run += 1;
             }
-            // Split the merged run at the engine's transfer ceiling.
-            let mut run_bytes = run * elem;
-            let mut remote = start * elem;
+            // Split the merged run at the engine's transfer ceiling. The
+            // run ends at most at `(u32::MAX + 1) * elem`, so its byte
+            // range is checked whole before the split.
+            let bytes = |n: u32| n.checked_mul(elem).ok_or_else(|| self.overflow());
+            let mut remote = bytes(start)?;
+            let mut run_bytes = bytes(run)?;
+            remote
+                .checked_add(run_bytes)
+                .ok_or_else(|| self.overflow())?;
+            local
+                .checked_add(run_bytes)
+                .ok_or_else(|| self.overflow())?;
             while run_bytes > 0 {
                 let piece = run_bytes.min(MAX_TRANSFER);
                 out.push(GatherDescriptor {
@@ -140,7 +163,16 @@ impl GatherPlan {
             }
             i += run as usize;
         }
-        out
+        Ok(out)
+    }
+
+    /// The error for a byte offset past the 32-bit address range.
+    fn overflow(&self) -> MemError {
+        MemError::AddressOverflow {
+            space: self.base.space(),
+            offset: self.base.offset(),
+            delta: u32::MAX,
+        }
     }
 }
 
@@ -158,14 +190,14 @@ mod tests {
         let plan = GatherPlan::new(base(), 4, vec![]);
         assert!(plan.is_empty());
         assert_eq!(plan.total_bytes(), 0);
-        assert!(plan.descriptors().is_empty());
-        assert_eq!(plan.span(), None);
+        assert!(plan.descriptors().unwrap().is_empty());
+        assert_eq!(plan.span(), Ok(None));
     }
 
     #[test]
     fn scattered_indices_get_one_descriptor_each() {
         let plan = GatherPlan::new(base(), 8, vec![7, 3, 11]);
-        let descs = plan.descriptors();
+        let descs = plan.descriptors().unwrap();
         assert_eq!(
             descs,
             vec![
@@ -191,7 +223,7 @@ mod tests {
     #[test]
     fn consecutive_runs_coalesce() {
         let plan = GatherPlan::new(base(), 4, vec![10, 11, 12, 13, 2, 5, 6]);
-        let descs = plan.descriptors();
+        let descs = plan.descriptors().unwrap();
         assert_eq!(
             descs,
             vec![
@@ -217,7 +249,7 @@ mod tests {
     #[test]
     fn descending_indices_do_not_coalesce() {
         let plan = GatherPlan::new(base(), 4, vec![3, 2, 1]);
-        assert_eq!(plan.descriptors().len(), 3);
+        assert_eq!(plan.descriptors().unwrap().len(), 3);
     }
 
     #[test]
@@ -225,7 +257,7 @@ mod tests {
         // 8192 consecutive 4-byte elements = 32 KiB = 2x MAX_TRANSFER.
         let indices: Vec<u32> = (0..8192).collect();
         let plan = GatherPlan::new(base(), 4, indices);
-        let descs = plan.descriptors();
+        let descs = plan.descriptors().unwrap();
         assert_eq!(descs.len(), 2);
         assert_eq!(descs[0].bytes, MAX_TRANSFER);
         assert_eq!(descs[1].bytes, MAX_TRANSFER);
@@ -236,7 +268,7 @@ mod tests {
     #[test]
     fn local_offsets_tile_densely() {
         let plan = GatherPlan::new(base(), 12, vec![0, 9, 1, 1, 4, 5, 6]);
-        let descs = plan.descriptors();
+        let descs = plan.descriptors().unwrap();
         let mut expect = 0u32;
         for d in &descs {
             assert_eq!(d.local_offset, expect);
@@ -248,7 +280,7 @@ mod tests {
     #[test]
     fn span_covers_min_to_max() {
         let plan = GatherPlan::new(base(), 4, vec![9, 2, 5]);
-        let (start, len) = plan.span().unwrap();
+        let (start, len) = plan.span().unwrap().unwrap();
         assert_eq!(start, base().offset_by(8).unwrap());
         assert_eq!(len, 32);
     }

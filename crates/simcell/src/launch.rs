@@ -151,16 +151,13 @@ impl Launch {
             }
             ctx.local_alloc_restore(mark);
             attempt += 1;
-            ctx.stats.recovery_retries += 1;
-            ctx.stats.recovery_backoff_cycles += self.backoff;
             let recovery = RecoveryKind::Retry {
                 tile: item,
                 attempt,
                 backoff: self.backoff,
             };
             let accel = ctx.accel_index;
-            ctx.events
-                .record(ctx.now, EventKind::RecoveryApplied { accel, recovery });
+            ctx.note(EventKind::RecoveryApplied { accel, recovery });
             ctx.compute(self.backoff);
         }
     }

@@ -71,7 +71,7 @@ pub mod trace;
 pub use cost::{CostModel, MAX_CYCLES};
 pub use ctx::AccelCtx;
 pub use error::{DispatchFault, SimError};
-pub use event::{CoreId, Event, EventKind, EventLog};
+pub use event::{CoreId, Event, EventKind, EventLog, Lane};
 pub use fault::{FaultError, FaultKind, FaultPlan, RecoveryKind};
 pub use gather::{GatherDescriptor, GatherPlan};
 pub use launch::{Launch, LaunchSettings, RecoverySettings, MAX_RETRIES};

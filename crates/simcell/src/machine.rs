@@ -3,14 +3,14 @@
 use std::ops::Range;
 
 use dma::{DmaEngine, DmaStats, RaceReport};
-use memspace::{AccessMode, Addr, MemoryRegion, ModeSet, Pod, SpaceId, SpaceKind};
+use memspace::{AccessMode, Addr, MemError, MemoryRegion, ModeSet, Pod, SpaceId, SpaceKind};
 use softcache::CacheChoice;
 
 use crate::cost::CostModel;
 use crate::ctx::AccelCtx;
 use crate::error::SimError;
 use crate::event::{CoreId, EventKind, EventLog};
-use crate::fault::{note_fault, FaultError, FaultKind, FaultPlan, FaultPlane, RecoveryKind};
+use crate::fault::{FaultError, FaultKind, FaultPlan, FaultPlane, RecoveryKind};
 use crate::gather::GatherPlan;
 use crate::launch::{Launch, LaunchSettings};
 use crate::snapshot::{
@@ -139,6 +139,9 @@ pub struct OffloadBuilder<'m> {
     machine: &'m mut Machine,
     accel: u16,
     gathers: Vec<GatherPlan>,
+    /// Why the first bad gather cannot run; [`OffloadBuilder::spawn`]
+    /// returns it before anything is armed.
+    gather_error: Option<MemError>,
     launch: Launch,
 }
 
@@ -189,11 +192,20 @@ impl<'m> OffloadBuilder<'m> {
     /// Declaring a gather also declares its main-memory span as
     /// [`reads`](LaunchSettings::reads): a gather is a declared read,
     /// so the offload joins the strict access-mode contract and every
-    /// *store* the kernel makes must be declared too.
+    /// *store* the kernel makes must be declared too. A span that
+    /// leaves main memory is refused by [`OffloadBuilder::spawn`].
     pub fn gather(mut self, base: Addr, elem_size: u32, indices: Vec<u32>) -> OffloadBuilder<'m> {
         let plan = GatherPlan::new(base, elem_size, indices);
-        if let Some((start, len)) = plan.span() {
-            self.launch.modes.declare(start, len, AccessMode::Read);
+        let declared = plan.span().and_then(|span| {
+            if let Some((start, len)) = span {
+                // Fails unless the whole span lies in main memory.
+                self.machine.main.read_bytes(start, len)?;
+                self.launch.modes.declare(start, len, AccessMode::Read);
+            }
+            Ok(())
+        });
+        if let Err(e) = declared {
+            self.gather_error.get_or_insert(e);
         }
         self.gathers.push(plan);
         self
@@ -210,13 +222,17 @@ impl<'m> OffloadBuilder<'m> {
     ///
     /// # Errors
     ///
-    /// Fails if [`Launch::arm`] rejects the launch (the accelerator does
-    /// not exist, the local store cannot hold the cache, or the fault
-    /// plan is bad).
+    /// Fails with the [`SimError::Memory`] error of the first declared
+    /// gather whose span leaves main memory, or if [`Launch::arm`]
+    /// rejects the launch (the accelerator does not exist, the local
+    /// store cannot hold the cache, or the fault plan is bad).
     pub fn spawn<R>(
         self,
         f: impl FnOnce(&mut AccelCtx<'_>) -> R,
     ) -> Result<OffloadHandle<R>, SimError> {
+        if let Some(e) = self.gather_error {
+            return Err(e.into());
+        }
         self.launch.arm(self.machine, self.accel, 1)?;
         self.machine
             .launch(self.accel, self.launch, self.gathers, f)
@@ -588,24 +604,25 @@ impl Machine {
     /// a no-op unless the event log is enabled). Pair with
     /// [`Machine::span_end`] using the same `name`.
     pub fn span_start(&mut self, name: &'static str) {
-        self.events.record(
-            self.host_now,
-            EventKind::SpanStart {
-                core: CoreId::Host,
-                name,
-            },
-        );
+        let core = CoreId::Host;
+        self.note(self.host_now, EventKind::SpanStart { core, name });
     }
 
     /// Closes a named span on the host timeline.
     pub fn span_end(&mut self, name: &'static str) {
-        self.events.record(
-            self.host_now,
-            EventKind::SpanEnd {
-                core: CoreId::Host,
-                name,
-            },
-        );
+        let core = CoreId::Host;
+        self.note(self.host_now, EventKind::SpanEnd { core, name });
+    }
+
+    /// Counts `kind` in [`MachineStats`] (see [`MachineStats::count`])
+    /// and, when the event log is on, records it at cycle `at`: the one
+    /// step by which the machine and its front-ends, such as
+    /// `offload_rt`'s tile scheduler and pipeline, report what happened.
+    /// Zero simulated cost.
+    #[inline(always)]
+    pub fn note(&mut self, at: u64, kind: EventKind) {
+        self.stats.count(at, &kind);
+        self.events.record(at, kind);
     }
 
     /// Records a static annotation at the host's current cycle without
@@ -775,6 +792,7 @@ impl Machine {
             machine: self,
             accel,
             gathers: Vec::new(),
+            gather_error: None,
             launch: Launch::default(),
         }
     }
@@ -804,41 +822,28 @@ impl Machine {
             let plan = *self.faults.plan().expect("active plane has a plan");
             if self.faults.roll(plan.accel_death) {
                 self.faults.mark_dead(accel);
-                note_fault(
-                    &mut self.stats,
-                    &mut self.events,
-                    accel,
-                    self.host_now,
-                    FaultKind::AccelDeath,
-                );
+                let fault = FaultKind::AccelDeath;
+                self.note(self.host_now, EventKind::FaultInjected { accel, fault });
                 // In-flight transfers die with the core.
                 self.accels[usize::from(accel)].dma.purge();
                 return Err(FaultError::AccelDead { accel }.into());
             }
         }
-        self.stats.offloads += 1;
-        let span = (self.stats.offloads - 1) as u32;
+        let span = self.stats.offloads as u32;
         let mut start = self
             .host_now
             .max(self.accels[usize::from(accel)].busy_until);
         if self.faults.active() {
             let plan = *self.faults.plan().expect("active plane has a plan");
             if self.faults.roll(plan.accel_stall) {
-                note_fault(
-                    &mut self.stats,
-                    &mut self.events,
-                    accel,
-                    start,
-                    FaultKind::AccelStall {
-                        cycles: plan.stall_cycles,
-                    },
-                );
-                start += plan.stall_cycles;
+                let cycles = plan.stall_cycles;
+                let fault = FaultKind::AccelStall { cycles };
+                self.note(start, EventKind::FaultInjected { accel, fault });
+                start += cycles;
             }
         }
         let name = launch.label;
-        self.events
-            .record(start, EventKind::OffloadStart { accel, name });
+        self.note(start, EventKind::OffloadStart { accel, name });
         let mark = self.accels[usize::from(accel)].ls.save_alloc();
         let mut ctx = self.accel_ctx(accel, start, span, launch.modes);
         // Building the cache is allocation only (zero cycles); the
@@ -871,20 +876,13 @@ impl Machine {
                 return Err(e);
             }
         };
-        if self.events.is_enabled() {
-            self.events.record(
-                end,
-                EventKind::LsHighWater {
-                    accel,
-                    bytes: slot.ls.alloc_high_water(),
-                },
-            );
-        }
+        let bytes = slot.ls.alloc_high_water();
         slot.ls.restore_alloc(mark);
         slot.busy_until = end;
         slot.busy_cycles += end - start;
         self.stats.accel_busy_cycles += end - start;
-        self.events.record(end, EventKind::OffloadEnd { accel });
+        self.note(end, EventKind::LsHighWater { accel, bytes });
+        self.note(end, EventKind::OffloadEnd { accel });
         Ok(OffloadHandle {
             result,
             accel,
@@ -925,13 +923,8 @@ impl Machine {
     /// finished, then resumes with the closure's result.
     pub fn join<R>(&mut self, handle: OffloadHandle<R>) -> R {
         self.host_now = self.host_now.max(handle.end) + self.config.cost.join_overhead;
-        self.stats.joins += 1;
-        self.events.record(
-            self.host_now,
-            EventKind::Join {
-                accel: handle.accel,
-            },
-        );
+        let accel = handle.accel;
+        self.note(self.host_now, EventKind::Join { accel });
         handle.result
     }
 
@@ -971,21 +964,10 @@ impl Machine {
     ) -> Result<R, SimError> {
         self.check_accel(accel)?;
         let start = self.host_now;
-        self.stats.recovery_fallbacks += 1;
-        self.events.record(
-            start,
-            EventKind::RecoveryApplied {
-                accel,
-                recovery: RecoveryKind::HostFallback { tile: item },
-            },
-        );
-        self.events.record(
-            start,
-            EventKind::SpanStart {
-                core: CoreId::Host,
-                name,
-            },
-        );
+        let recovery = RecoveryKind::HostFallback { tile: item };
+        self.note(start, EventKind::RecoveryApplied { accel, recovery });
+        let core = CoreId::Host;
+        self.note(start, EventKind::SpanStart { core, name });
         self.faults.push_suppress();
         let mark = self.accels[usize::from(accel)].ls.save_alloc();
         // Fallbacks are not offload spans; keep them out of the
@@ -1001,12 +983,9 @@ impl Machine {
             .and_then(|penalty| Some((penalty, start.checked_add(penalty)?)));
         // The span closes either way: at the charged clock, or where it
         // opened when the charge does not fit the clock.
-        self.events.record(
+        self.note(
             charge.map_or(start, |(_, end)| end),
-            EventKind::SpanEnd {
-                core: CoreId::Host,
-                name,
-            },
+            EventKind::SpanEnd { core, name },
         );
         let Some((penalty, end)) = charge else {
             return Err(SimError::BadConfig {
@@ -1031,109 +1010,6 @@ impl Machine {
     pub fn accel_free_at(&self, accel: u16) -> Result<u64, SimError> {
         self.check_accel(accel)?;
         Ok(self.accels[usize::from(accel)].busy_until)
-    }
-
-    // ---- front-end bookkeeping --------------------------------------------
-    //
-    // Hooks for the tile scheduler and the pipeline in `offload_rt`, and
-    // for their recovery layer. All of them are pure bookkeeping — they
-    // update the always-on counters and, when the event log is enabled,
-    // record structured events; no simulated cycles anywhere.
-
-    /// Notes that a scheduler placed `tile` on accelerator `accel`'s
-    /// work queue at cycle `at`. Zero simulated cost.
-    pub fn sched_note_enqueue(&mut self, at: u64, accel: u16, tile: u32) {
-        self.events
-            .record(at, EventKind::SchedEnqueue { accel, tile });
-    }
-
-    /// Notes that accelerator `accel` ran `tile` over `[start, end]`;
-    /// `stolen_from` names the queue the tile originally sat on when a
-    /// work-stealing scheduler moved it. Zero simulated cost.
-    pub fn sched_note_run(
-        &mut self,
-        start: u64,
-        accel: u16,
-        tile: u32,
-        end: u64,
-        stolen_from: Option<u16>,
-    ) {
-        self.stats.sched_tiles += 1;
-        self.events.record(
-            start,
-            EventKind::SchedRun {
-                accel,
-                tile,
-                end,
-                stolen_from,
-            },
-        );
-    }
-
-    /// Notes that accelerator `accel` sat idle over `[from, until]`
-    /// while the scheduled task was in flight. Zero simulated cost.
-    pub fn sched_note_idle(&mut self, from: u64, accel: u16, until: u64) {
-        self.stats.sched_idle_cycles += until.saturating_sub(from);
-        self.events
-            .record(from, EventKind::SchedIdle { accel, until });
-    }
-
-    /// Notes that a work-stealing scheduler moved `tile` from `victim`'s
-    /// queue to `thief`'s at cycle `at`, charging the thief `cost`
-    /// simulated cycles (the charge itself is applied by the scheduler,
-    /// inside the stolen tile's offload). Zero simulated cost here.
-    pub fn sched_note_steal(&mut self, at: u64, thief: u16, victim: u16, tile: u32, cost: u64) {
-        self.stats.sched_steals += 1;
-        self.stats.sched_steal_cycles += cost;
-        self.events.record(
-            at,
-            EventKind::SchedSteal {
-                thief,
-                victim,
-                tile,
-                cost,
-            },
-        );
-    }
-
-    /// Notes that pipeline stage `stage` processed `chunk` on
-    /// accelerator `accel` over `[start, end]`; with `last` the stage is
-    /// the pipeline's final one, so the chunk left the pipeline. Zero
-    /// simulated cost.
-    pub fn pipe_note_run(
-        &mut self,
-        start: u64,
-        accel: u16,
-        stage: u16,
-        chunk: u32,
-        end: u64,
-        last: bool,
-    ) {
-        self.stats.pipe_stage_runs += 1;
-        self.stats.pipe_chunks += u64::from(last);
-        self.events.record(
-            start,
-            EventKind::PipeRun {
-                accel,
-                stage,
-                chunk,
-                end,
-            },
-        );
-    }
-
-    /// Notes that the scheduler evicted dead accelerator `accel` at
-    /// cycle `at`, redistributing `tiles_moved` queued tiles. Zero
-    /// simulated cost.
-    pub fn recovery_note_evict(&mut self, at: u64, accel: u16, tiles_moved: u32) {
-        self.stats.recovery_evictions += 1;
-        self.events.record(
-            at,
-            EventKind::RecoveryApplied {
-                accel,
-                recovery: RecoveryKind::Evict { tiles_moved },
-            },
-        );
     }
 
     // ---- inspection --------------------------------------------------------
@@ -1744,23 +1620,6 @@ mod tests {
     }
 
     #[test]
-    fn recovery_notes_update_stats_and_record_events() {
-        let mut m = machine();
-        m.events_mut().set_enabled(true);
-        m.recovery_note_evict(100, 0, 3);
-        m.run_host_fallback(0, 7, "tile-fallback", ModeSet::new(), |_| ())
-            .unwrap();
-        assert_eq!(m.stats().recovery_evictions, 1);
-        assert_eq!(m.stats().recovery_fallbacks, 1);
-        let text: Vec<String> = m.events().events().iter().map(|e| e.to_string()).collect();
-        assert!(text.iter().any(|s| s.contains("evict")), "{text:?}");
-        assert!(
-            text.iter().any(|s| s.contains("host_fallback tile 7")),
-            "{text:?}"
-        );
-    }
-
-    #[test]
     fn accel_free_at_tracks_queue_depth() {
         let mut m = machine();
         assert_eq!(m.accel_free_at(0).unwrap(), 0);
@@ -1768,53 +1627,6 @@ mod tests {
         assert_eq!(m.accel_free_at(0).unwrap(), h.end());
         m.join(h);
         assert!(m.accel_free_at(9).is_err());
-    }
-
-    #[test]
-    fn sched_notes_update_stats_and_record_events() {
-        let mut m = machine();
-        m.events_mut().set_enabled(true);
-        m.sched_note_enqueue(10, 0, 7);
-        m.sched_note_run(100, 0, 7, 400, Some(1));
-        m.sched_note_idle(400, 0, 450);
-        m.sched_note_steal(90, 0, 1, 7, 250);
-        let s = m.stats();
-        assert_eq!(s.sched_tiles, 1);
-        assert_eq!(s.sched_steals, 1);
-        assert_eq!(s.sched_steal_cycles, 250);
-        assert_eq!(s.sched_idle_cycles, 50);
-        let kinds: Vec<_> = m.events().events().iter().map(|e| &e.kind).collect();
-        assert!(matches!(
-            kinds[0],
-            EventKind::SchedEnqueue { accel: 0, tile: 7 }
-        ));
-        assert!(matches!(
-            kinds[1],
-            EventKind::SchedRun {
-                accel: 0,
-                tile: 7,
-                end: 400,
-                stolen_from: Some(1)
-            }
-        ));
-        assert!(matches!(
-            kinds[2],
-            EventKind::SchedIdle {
-                accel: 0,
-                until: 450
-            }
-        ));
-        assert!(matches!(
-            kinds[3],
-            EventKind::SchedSteal {
-                thief: 0,
-                victim: 1,
-                tile: 7,
-                cost: 250
-            }
-        ));
-        // Bookkeeping is free: no clock moved.
-        assert_eq!(m.host_now(), 0);
     }
 
     #[test]

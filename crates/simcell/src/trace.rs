@@ -50,7 +50,8 @@ use std::fmt::{self, Write as _};
 
 use dma::DmaDirection;
 
-use crate::event::{CoreId, Event, EventKind, EventLog};
+use crate::event::{Arg, Event, EventKind, EventLog, Lane, Name, Phase, Shape};
+use crate::fault::{FaultKind, RecoveryKind};
 use crate::machine::Machine;
 
 pub use softcache::autotune::{AccessRecord, AccessTrace, TraceOp};
@@ -67,6 +68,35 @@ pub use softcache::autotune::{AccessRecord, AccessTrace, TraceOp};
 /// through [`crate::AccelCtx`]. Traffic a cache generates internally is
 /// accounted by its own [`softcache::CacheStats`] and by the per-engine
 /// [`dma::DmaStats`]; the utilization report merges all three views.
+///
+/// # Where each counter comes from
+///
+/// Thirty counters are folds of the event log: [`MachineStats::count`]
+/// is the one place that says which counters an event bumps, and
+/// [`Machine::note`] and [`crate::AccelCtx::note`] count an event and
+/// record it in one step, so with the log on, folding `count` over the
+/// log reproduces them exactly.
+///
+/// The other fifteen are added directly, because no event carries them:
+///
+/// - `host_bytes_read` and `host_bytes_written`: host accesses record
+///   no event.
+/// - `cache_hits`, `cache_misses`, `cache_evictions`,
+///   `cache_bytes_fetched` and `cache_bytes_written_back`: folded from
+///   the cache's own [`softcache::CacheStats`] delta across each routed
+///   access. The cache events report the same delta, but write-backs
+///   have no event, and a stream cache's prefetch (`issue_prefetch` in
+///   `softcache`'s `stream.rs`) adds to `cache_bytes_fetched` on a
+///   hit, so no [`EventKind::CacheMiss`] carries those bytes.
+/// - `accel_busy_cycles`: an offload's end minus its start, which no
+///   single event holds.
+/// - `recovery_fallback_cycles`: the host penalty of a fallback, charged
+///   after its span closes.
+/// - `journal_snapshots`, `journal_bytes`, `journal_snapshots_skipped`
+///   and `journal_bytes_skipped`: put-journal bookkeeping records no
+///   event.
+/// - `dma_writebacks_elided` and `dma_writeback_bytes_elided`: an
+///   elided write-back records only a note, which carries no count.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
 pub struct MachineStats {
     /// Offload threads launched.
@@ -174,6 +204,97 @@ pub struct MachineStats {
 }
 
 impl MachineStats {
+    /// Adds one event of `kind`, stamped at cycle `at`, to the counters
+    /// it bumps: the one place that says which those are (see
+    /// [Where each counter comes from](MachineStats#where-each-counter-comes-from)).
+    #[inline(always)]
+    pub fn count(&mut self, at: u64, kind: &EventKind) {
+        match *kind {
+            EventKind::OffloadStart { .. } => self.offloads += 1,
+            EventKind::Join { .. } => self.joins += 1,
+            EventKind::DmaIssue { bytes, dir, .. } => match dir {
+                DmaDirection::Get => {
+                    self.dma_gets += 1;
+                    self.dma_bytes_to_local += u64::from(bytes);
+                }
+                DmaDirection::Put => {
+                    self.dma_puts += 1;
+                    self.dma_bytes_from_local += u64::from(bytes);
+                }
+            },
+            EventKind::Gather {
+                elems,
+                descriptors,
+                bytes,
+                ..
+            } => {
+                self.gathers += 1;
+                self.gather_elems += u64::from(elems);
+                self.gather_descriptors += u64::from(descriptors);
+                self.gather_bytes += u64::from(bytes);
+            }
+            EventKind::SchedRun { .. } => self.sched_tiles += 1,
+            EventKind::SchedIdle { until, .. } => {
+                self.sched_idle_cycles += until.saturating_sub(at)
+            }
+            EventKind::SchedSteal { cost, .. } => {
+                self.sched_steals += 1;
+                self.sched_steal_cycles += cost;
+            }
+            EventKind::PipeRun { last, .. } => {
+                self.pipe_stage_runs += 1;
+                self.pipe_chunks += u64::from(last);
+            }
+            EventKind::PipeWait {
+                until,
+                backpressure,
+                ..
+            } => {
+                let stalled = until.saturating_sub(at);
+                if backpressure {
+                    self.pipe_backpressure_cycles += stalled;
+                } else {
+                    self.pipe_input_wait_cycles += stalled;
+                }
+            }
+            EventKind::FaultInjected { fault, .. } => {
+                self.faults_injected += 1;
+                match fault {
+                    FaultKind::DmaCorrupt { .. } => self.fault_dma_corrupt += 1,
+                    FaultKind::DmaDrop { .. } => self.fault_dma_drop += 1,
+                    FaultKind::TagTimeout { stall } => {
+                        self.fault_timeouts += 1;
+                        self.fault_stall_cycles += stall;
+                    }
+                    FaultKind::AccelStall { cycles } => {
+                        self.fault_stalls += 1;
+                        self.fault_stall_cycles += cycles;
+                    }
+                    FaultKind::AccelDeath => self.fault_deaths += 1,
+                    FaultKind::LsPoison => self.fault_ls_poison += 1,
+                }
+            }
+            EventKind::RecoveryApplied { recovery, .. } => match recovery {
+                RecoveryKind::Retry { backoff, .. } => {
+                    self.recovery_retries += 1;
+                    self.recovery_backoff_cycles += backoff;
+                }
+                RecoveryKind::Evict { .. } => self.recovery_evictions += 1,
+                RecoveryKind::HostFallback { .. } => self.recovery_fallbacks += 1,
+            },
+            EventKind::OffloadEnd { .. }
+            | EventKind::Note { .. }
+            | EventKind::SpanStart { .. }
+            | EventKind::SpanEnd { .. }
+            | EventKind::DmaWait { .. }
+            | EventKind::CacheHit { .. }
+            | EventKind::CacheMiss { .. }
+            | EventKind::CacheEvict { .. }
+            | EventKind::LsHighWater { .. }
+            | EventKind::SchedEnqueue { .. } => {}
+        }
+    }
+
     /// Total bytes that crossed a memory-space boundary via explicit
     /// DMA, in either direction.
     pub fn dma_bytes_total(&self) -> u64 {
@@ -216,89 +337,6 @@ impl fmt::Display for MachineStats {
 
 // ---- Chrome trace-event export ------------------------------------------
 
-/// Thread-id layout of the exported trace: the host runs on tid 0,
-/// accelerator *n* on tid `1 + n`, accelerator *n*'s DMA lane on tid
-/// `DMA_LANE_BASE + n`, its scheduler lane on tid
-/// `SCHED_LANE_BASE + n`, its fault lane on tid `FAULT_LANE_BASE + n`,
-/// and its pipeline lane on tid `PIPE_LANE_BASE + n`.
-pub const DMA_LANE_BASE: u64 = 100;
-
-/// Base thread id of the per-accelerator scheduler lanes (tile
-/// assignment and idle-gap slices; see `offload_rt::sched`).
-pub const SCHED_LANE_BASE: u64 = 200;
-
-/// Base thread id of the per-accelerator fault lanes (injected faults
-/// and recovery actions; see [`crate::fault`]).
-pub const FAULT_LANE_BASE: u64 = 300;
-
-/// Base thread id of the per-accelerator pipeline lanes (per-stage
-/// chunk runs and input/backpressure stalls; see
-/// `offload_rt::pipeline`).
-pub const PIPE_LANE_BASE: u64 = 400;
-
-/// Base thread id of the per-accelerator gather lanes (whole gather
-/// batches as issue→drain slices; see `simcell::GatherPlan` and
-/// [`crate::AccelCtx::gather`]).
-pub const GATHER_LANE_BASE: u64 = 500;
-
-/// Thread id of accelerator `accel`'s execution lane.
-pub fn accel_tid(accel: u16) -> u64 {
-    1 + u64::from(accel)
-}
-
-/// Thread id of accelerator `accel`'s DMA lane.
-pub fn dma_tid(accel: u16) -> u64 {
-    DMA_LANE_BASE + u64::from(accel)
-}
-
-/// Thread id of accelerator `accel`'s scheduler lane.
-pub fn sched_tid(accel: u16) -> u64 {
-    SCHED_LANE_BASE + u64::from(accel)
-}
-
-/// Thread id of accelerator `accel`'s fault lane.
-pub fn fault_tid(accel: u16) -> u64 {
-    FAULT_LANE_BASE + u64::from(accel)
-}
-
-/// Thread id of accelerator `accel`'s pipeline lane.
-pub fn pipe_tid(accel: u16) -> u64 {
-    PIPE_LANE_BASE + u64::from(accel)
-}
-
-/// Thread id of accelerator `accel`'s gather lane.
-pub fn gather_tid(accel: u16) -> u64 {
-    GATHER_LANE_BASE + u64::from(accel)
-}
-
-fn tid_of(core: CoreId) -> u64 {
-    match core {
-        CoreId::Host => 0,
-        CoreId::Accel(index) => accel_tid(index),
-    }
-}
-
-/// The lane an event draws on besides its core's execution lane, as
-/// (thread-name label, tid base, accelerator); `None` when it draws
-/// only on its core's lane.
-fn side_lane(kind: &EventKind) -> Option<(&'static str, u64, u16)> {
-    Some(match *kind {
-        EventKind::DmaIssue { accel, .. } => ("dma", DMA_LANE_BASE, accel),
-        EventKind::SchedEnqueue { accel, .. }
-        | EventKind::SchedRun { accel, .. }
-        | EventKind::SchedIdle { accel, .. }
-        | EventKind::SchedSteal { thief: accel, .. } => ("sched", SCHED_LANE_BASE, accel),
-        EventKind::FaultInjected { accel, .. } | EventKind::RecoveryApplied { accel, .. } => {
-            ("faults", FAULT_LANE_BASE, accel)
-        }
-        EventKind::PipeRun { accel, .. } | EventKind::PipeWait { accel, .. } => {
-            ("pipe", PIPE_LANE_BASE, accel)
-        }
-        EventKind::Gather { accel, .. } => ("gather", GATHER_LANE_BASE, accel),
-        _ => return None,
-    })
-}
-
 /// Appends `s` as a JSON string literal. Text with nothing to escape,
 /// which is nearly all of it, is pushed in one piece.
 fn push_json_string(out: &mut String, s: &str) {
@@ -339,44 +377,6 @@ fn push_u64(out: &mut String, mut n: u64) {
     out.extend(digits[start..].iter().map(|&d| char::from(d)));
 }
 
-/// The args only some events of a kind carry, written after the ones
-/// every event of that kind has: a stolen tile's victim, and a fault's
-/// or a recovery's payload.
-struct VariantArgs<'a>(&'a EventKind);
-
-impl fmt::Display for VariantArgs<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use crate::fault::{FaultKind, RecoveryKind};
-        match self.0 {
-            EventKind::SchedRun {
-                stolen_from: Some(victim),
-                ..
-            } => write!(f, ",\"stolen_from\":{victim}"),
-            EventKind::FaultInjected { fault, .. } => match fault {
-                FaultKind::DmaCorrupt { tag, bytes } | FaultKind::DmaDrop { tag, bytes } => {
-                    write!(f, ",\"tag\":{tag},\"bytes\":{bytes}")
-                }
-                FaultKind::TagTimeout { stall } => write!(f, ",\"stall\":{stall}"),
-                FaultKind::AccelStall { cycles } => write!(f, ",\"cycles\":{cycles}"),
-                FaultKind::AccelDeath | FaultKind::LsPoison => Ok(()),
-            },
-            EventKind::RecoveryApplied { recovery, .. } => match recovery {
-                RecoveryKind::Retry {
-                    tile,
-                    attempt,
-                    backoff,
-                } => write!(
-                    f,
-                    ",\"tile\":{tile},\"attempt\":{attempt},\"backoff\":{backoff}"
-                ),
-                RecoveryKind::Evict { tiles_moved } => write!(f, ",\"tiles_moved\":{tiles_moved}"),
-                RecoveryKind::HostFallback { tile } => write!(f, ",\"tile\":{tile}"),
-            },
-            _ => Ok(()),
-        }
-    }
-}
-
 /// Writes trace records straight into one output buffer.
 struct ChromeWriter {
     out: String,
@@ -392,34 +392,33 @@ impl ChromeWriter {
     }
 
     /// Starts the next record, up to and including its name.
-    fn open(&mut self, name: &str) {
+    fn open(&mut self, name: Name<'_>) {
         if !self.first {
             self.out.push_str(",\n");
         }
         self.first = false;
         self.out.push_str("{\"name\":");
-        push_json_string(&mut self.out, name);
+        match name {
+            Name::Text(text) => push_json_string(&mut self.out, text),
+            // Formatted names are ASCII letters, digits and spaces:
+            // nothing to escape.
+            name => {
+                let _ = write!(self.out, "\"{name}\"");
+            }
+        }
     }
 
-    /// Emits one trace event. `end` is `Some` for complete ("X") events,
-    /// which get a `dur` of `end - ts`; `args` is the JSON object body
-    /// (without braces), empty for none.
-    fn event(
-        &mut self,
-        name: &str,
-        ph: char,
-        ts: u64,
-        end: Option<u64>,
-        tid: u64,
-        args: fmt::Arguments<'_>,
-    ) {
-        self.open(name);
+    /// Emits `shape` as one trace event with phase `ph` at `ts`. `end`
+    /// is `Some` for complete ("X") events, which get a `dur` of
+    /// `end - ts`.
+    fn event(&mut self, shape: &Shape<'_>, ph: char, ts: u64, end: Option<u64>) {
+        self.open(shape.name);
         self.out.push_str(",\"ph\":\"");
         self.out.push(ph);
         self.out.push_str("\",\"ts\":");
         push_u64(&mut self.out, ts);
         self.out.push_str(",\"pid\":0,\"tid\":");
-        push_u64(&mut self.out, tid);
+        push_u64(&mut self.out, shape.lane.tid());
         if let Some(end) = end {
             self.out.push_str(",\"dur\":");
             push_u64(&mut self.out, end.saturating_sub(ts));
@@ -429,17 +428,26 @@ impl ChromeWriter {
             // their lane.
             self.out.push_str(",\"s\":\"t\"");
         }
-        if args.as_str() != Some("") {
-            self.out.push_str(",\"args\":{");
-            let _ = self.out.write_fmt(args);
+        let mut sep = ",\"args\":{\"";
+        for &(key, value) in shape.args() {
+            self.out.push_str(sep);
+            sep = ",\"";
+            self.out.push_str(key);
+            self.out.push_str("\":");
+            match value {
+                Arg::Num(n) => push_u64(&mut self.out, n),
+                Arg::Str(text) => push_json_string(&mut self.out, text),
+            }
+        }
+        if !shape.args().is_empty() {
             self.out.push('}');
         }
         self.out.push('}');
     }
 
     /// Emits a metadata record; `value` is written unescaped.
-    fn metadata(&mut self, name: &str, tid: u64, value: fmt::Arguments<'_>) {
-        self.open(name);
+    fn metadata(&mut self, name: &'static str, tid: u64, value: fmt::Arguments<'_>) {
+        self.open(Name::Text(name));
         let _ = write!(
             self.out,
             ",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"args\":{{\"name\":\"{value}\"}}}}"
@@ -456,9 +464,11 @@ impl ChromeWriter {
 ///
 /// Load the result in [Perfetto](https://ui.perfetto.dev) or
 /// `chrome://tracing`. Timestamps are simulated cycles reported as
-/// microseconds (the units are relative; only ratios matter). Lane
-/// layout: host on tid 0, accelerator *n* on tid `1+n`, its DMA
-/// transfers on tid `100+n`, its scheduler lane on tid `200+n`.
+/// microseconds (the units are relative; only ratios matter). Each
+/// event draws on one [`Lane`], whose [`Lane::tid`] is its thread:
+/// the host on tid 0, accelerator *n* on tid `1+n`, and its DMA,
+/// scheduler, fault, pipeline and gather lanes on tids `100+n`,
+/// `200+n`, `300+n`, `400+n` and `500+n`.
 /// Offload intervals and host/accel spans become complete ("X")
 /// slices; DMA commands become slices on the DMA lane spanning
 /// issue→completion; cache hits/misses/evictions and notes become
@@ -466,12 +476,12 @@ impl ChromeWriter {
 /// Scheduler tile runs (`tile N`) and idle gaps (`idle`) become X
 /// slices on the scheduler lane, with enqueues and steals as instants.
 /// Injected faults and recovery actions become instants on the fault
-/// lane (tid `300+n`), named by their stable kind string
-/// (`dma_drop`, `tag_timeout`, `retry`, `host_fallback`, …).
+/// lane, named by their stable kind string (`dma_drop`, `tag_timeout`,
+/// `retry`, `host_fallback`, …).
 /// Pipeline chunk runs (`s<K> chunk N`) and stalls (`input wait` /
-/// `backpressure`) become X slices on the pipeline lane (tid `400+n`).
-/// Gather batches become X slices on the gather lane (tid `500+n`)
-/// spanning issue→drain, with elems/descriptors/bytes as args.
+/// `backpressure`) become X slices on the pipeline lane.
+/// Gather batches become X slices on the gather lane spanning
+/// issue→drain, with elems/descriptors/bytes as args.
 pub fn chrome_trace_json(log: &EventLog) -> String {
     let mut w = ChromeWriter::new();
     w.metadata("process_name", 0, format_args!("offload-sim"));
@@ -480,248 +490,43 @@ pub fn chrome_trace_json(log: &EventLog) -> String {
     let events = log.sorted();
     // Name each lane of the first 64 accelerators that actually
     // appears, in order of first appearance: an event's core lane
-    // first, then its side lane.
-    let mut named = [false; GATHER_LANE_BASE as usize + 64];
+    // first, then the lane it draws on.
+    let mut named = [false; Lane::Gather(64).tid() as usize];
     for e in &events {
-        let core_lane = match e.core() {
-            CoreId::Accel(a) => Some(("accel", accel_tid(0), a)),
-            CoreId::Host => None,
+        let lane = e.shape().lane;
+        let Some(a) = lane.accel().filter(|&a| a < 64) else {
+            continue;
         };
-        for (label, base, a) in core_lane.into_iter().chain(side_lane(&e.kind)) {
-            let tid = base + u64::from(a);
-            if a < 64 && !named[tid as usize] {
+        for lane in [Lane::Accel(a), lane] {
+            let tid = lane.tid();
+            if !named[tid as usize] {
                 named[tid as usize] = true;
-                w.metadata("thread_name", tid, format_args!("{label} {a}"));
+                w.metadata("thread_name", tid, format_args!("{lane}"));
             }
         }
     }
 
-    // Open-interval bookkeeping: offloads pair Start/End per accel.
-    let mut open_offload: Vec<(u16, u64, &'static str)> = Vec::new();
-    // Reused for the names formatted from an event's fields.
-    let mut formatted = String::new();
+    // Opens awaiting the close that completes them, innermost last.
+    let mut open: Vec<(u64, Shape<'_>)> = Vec::new();
     for e in &events {
-        let at = e.at;
-        let tid = side_lane(&e.kind).map_or(tid_of(e.core()), |(_, base, a)| base + u64::from(a));
-        match &e.kind {
-            EventKind::OffloadStart { accel, name } => open_offload.push((*accel, at, name)),
-            EventKind::OffloadEnd { accel } => {
-                if let Some(pos) = open_offload.iter().rposition(|(a, _, _)| a == accel) {
-                    let (_, start, name) = open_offload.remove(pos);
-                    w.event(
-                        name,
-                        'X',
-                        start,
-                        Some(at),
-                        tid,
-                        format_args!("\"accel\":{accel}"),
-                    );
+        let shape = e.shape();
+        match shape.phase {
+            Phase::Open => open.push((e.at, shape)),
+            Phase::Close => {
+                if let Some(pos) = open.iter().rposition(|(_, o)| shape.closes(o)) {
+                    let (start, o) = open.remove(pos);
+                    w.event(&o, 'X', start, Some(e.at));
                 }
             }
-            EventKind::Join { accel } => w.event(
-                "join",
-                'i',
-                at,
-                None,
-                tid,
-                format_args!("\"accel\":{accel}"),
-            ),
-            EventKind::Note { text } => w.event(text, 'i', at, None, tid, format_args!("")),
-            EventKind::SpanStart { name, .. } => {
-                w.event(name, 'B', at, None, tid, format_args!(""))
+            phase => {
+                let end = (phase == Phase::Complete).then_some(shape.end);
+                w.event(&shape, phase.ph(), e.at, end);
             }
-            EventKind::SpanEnd { name, .. } => w.event(name, 'E', at, None, tid, format_args!("")),
-            EventKind::DmaIssue {
-                tag,
-                bytes,
-                dir,
-                complete_at,
-                ..
-            } => {
-                let name = match dir {
-                    DmaDirection::Get => "dma_get",
-                    DmaDirection::Put => "dma_put",
-                };
-                w.event(
-                    name,
-                    'X',
-                    at,
-                    Some(*complete_at),
-                    tid,
-                    format_args!("\"tag\":{tag},\"bytes\":{bytes}"),
-                );
-            }
-            EventKind::DmaWait {
-                mask, resumed_at, ..
-            } => w.event(
-                "dma_wait",
-                'X',
-                at,
-                Some(*resumed_at),
-                tid,
-                format_args!("\"mask\":{mask}"),
-            ),
-            EventKind::Gather {
-                elems,
-                descriptors,
-                bytes,
-                complete_at,
-                ..
-            } => w.event(
-                "gather",
-                'X',
-                at,
-                Some(*complete_at),
-                tid,
-                format_args!("\"elems\":{elems},\"descriptors\":{descriptors},\"bytes\":{bytes}"),
-            ),
-            EventKind::CacheHit { count, .. } => w.event(
-                "cache_hit",
-                'i',
-                at,
-                None,
-                tid,
-                format_args!("\"count\":{count}"),
-            ),
-            EventKind::CacheMiss {
-                count,
-                bytes_fetched,
-                ..
-            } => w.event(
-                "cache_miss",
-                'i',
-                at,
-                None,
-                tid,
-                format_args!("\"count\":{count},\"bytes_fetched\":{bytes_fetched}"),
-            ),
-            EventKind::CacheEvict { count, .. } => w.event(
-                "cache_evict",
-                'i',
-                at,
-                None,
-                tid,
-                format_args!("\"count\":{count}"),
-            ),
-            EventKind::LsHighWater { bytes, .. } => w.event(
-                "ls_high_water",
-                'C',
-                at,
-                None,
-                tid,
-                format_args!("\"bytes\":{bytes}"),
-            ),
-            EventKind::SchedEnqueue { tile, .. } => w.event(
-                "enqueue",
-                'i',
-                at,
-                None,
-                tid,
-                format_args!("\"tile\":{tile}"),
-            ),
-            EventKind::SchedRun {
-                accel, tile, end, ..
-            } => {
-                formatted.clear();
-                let _ = write!(formatted, "tile {tile}");
-                w.event(
-                    &formatted,
-                    'X',
-                    at,
-                    Some(*end),
-                    tid,
-                    format_args!("\"tile\":{tile},\"accel\":{accel}{}", VariantArgs(&e.kind)),
-                );
-            }
-            EventKind::SchedIdle { accel, until } => w.event(
-                "idle",
-                'X',
-                at,
-                Some(*until),
-                tid,
-                format_args!("\"accel\":{accel}"),
-            ),
-            EventKind::SchedSteal {
-                victim, tile, cost, ..
-            } => w.event(
-                "steal",
-                'i',
-                at,
-                None,
-                tid,
-                format_args!("\"victim\":{victim},\"tile\":{tile},\"cost\":{cost}"),
-            ),
-            EventKind::PipeRun {
-                accel,
-                stage,
-                chunk,
-                end,
-            } => {
-                formatted.clear();
-                let _ = write!(formatted, "s{stage} chunk {chunk}");
-                w.event(
-                    &formatted,
-                    'X',
-                    at,
-                    Some(*end),
-                    tid,
-                    format_args!("\"accel\":{accel},\"stage\":{stage},\"chunk\":{chunk}"),
-                );
-            }
-            EventKind::PipeWait {
-                accel,
-                stage,
-                chunk,
-                until,
-                backpressure,
-            } => w.event(
-                if *backpressure {
-                    "backpressure"
-                } else {
-                    "input wait"
-                },
-                'X',
-                at,
-                Some(*until),
-                tid,
-                format_args!("\"accel\":{accel},\"stage\":{stage},\"chunk\":{chunk}"),
-            ),
-            EventKind::FaultInjected { accel, fault } => w.event(
-                fault.name(),
-                'i',
-                at,
-                None,
-                tid,
-                format_args!(
-                    "\"accel\":{accel},\"kind\":\"{}\"{}",
-                    fault.name(),
-                    VariantArgs(&e.kind)
-                ),
-            ),
-            EventKind::RecoveryApplied { accel, recovery } => w.event(
-                recovery.name(),
-                'i',
-                at,
-                None,
-                tid,
-                format_args!(
-                    "\"accel\":{accel},\"kind\":\"{}\"{}",
-                    recovery.name(),
-                    VariantArgs(&e.kind)
-                ),
-            ),
         }
     }
-    // Close any offloads left open (trace captured mid-offload).
-    for (accel, start, name) in open_offload {
-        w.event(
-            name,
-            'B',
-            start,
-            None,
-            accel_tid(accel),
-            format_args!("\"accel\":{accel}"),
-        );
+    // Opens the log never closed (trace captured mid-offload).
+    for (start, o) in open {
+        w.event(&o, o.phase.ph(), start, None);
     }
     w.finish()
 }
@@ -1018,15 +823,16 @@ fn parse_event(p: &mut MiniJson<'_>) -> Result<ChromeEvent, String> {
 /// plus a DMA lane per accelerator that transferred anything.
 ///
 /// `width` is the number of timeline columns (clamped to at least 10).
-/// Host/accel spans draw as `[====]` bars labelled where room permits;
-/// DMA transfers draw as `-` runs; cache misses mark `x` on the owning
-/// accelerator's lane margin. This is the "screenshots-as-ASCII" view
-/// `PROFILING.md` walks through; for real analysis, load the Chrome
-/// JSON in Perfetto.
+/// Host/accel spans and offloads draw as `[====]` bars labelled where
+/// room permits; DMA transfers draw as `-` runs; cache misses mark `x`
+/// on the owning accelerator's lane margin and joins mark `J` on the
+/// host's. This is the "screenshots-as-ASCII" view `PROFILING.md` walks
+/// through; for real analysis, load the Chrome JSON in Perfetto.
 pub fn ascii_timeline(log: &EventLog, width: usize) -> String {
     let width = width.max(10);
-    let events = log.sorted();
-    let Some(t_end) = events.iter().copied().map(end_cycle).max() else {
+    let events: Vec<(&Event, Shape<'_>)> =
+        log.sorted().into_iter().map(|e| (e, e.shape())).collect();
+    let Some(t_end) = events.iter().map(|(_, shape)| shape.end).max() else {
         return String::from("(empty trace)\n");
     };
     let t_end = t_end.max(1);
@@ -1034,109 +840,75 @@ pub fn ascii_timeline(log: &EventLog, width: usize) -> String {
         ((cycle.min(t_end) as u128 * (width as u128 - 1)) / t_end as u128) as usize
     };
 
-    // Lane set: host, then each accel seen, then each DMA lane seen.
-    let mut accels: Vec<u16> = Vec::new();
-    let mut dma_accels: Vec<u16> = Vec::new();
-    for e in &events {
-        if let CoreId::Accel(a) = e.core() {
-            if !accels.contains(&a) {
-                accels.push(a);
+    // Rows: the host, then each accelerator seen, then each DMA lane
+    // seen, in `Lane` order.
+    let mut rows = vec![Lane::Host];
+    for (_, shape) in &events {
+        for lane in [
+            shape.lane.accel().map_or(Lane::Host, Lane::Accel),
+            shape.lane,
+        ] {
+            if matches!(lane, Lane::Accel(_) | Lane::Dma(_)) && !rows.contains(&lane) {
+                rows.push(lane);
             }
         }
-        if let EventKind::DmaIssue { accel, .. } = e.kind {
-            if !dma_accels.contains(&accel) {
-                dma_accels.push(accel);
-            }
-        }
     }
-    accels.sort_unstable();
-    dma_accels.sort_unstable();
-
-    let mut lanes: Vec<(String, Vec<u8>)> = Vec::new();
-    lanes.push(("host    ".into(), vec![b' '; width]));
-    for &a in &accels {
-        lanes.push((format!("accel {a} "), vec![b' '; width]));
-    }
-    for &a in &dma_accels {
-        lanes.push((format!("dma {a}   "), vec![b' '; width]));
-    }
-    let lane_index = |core: CoreId| -> usize {
-        match core {
-            CoreId::Host => 0,
-            CoreId::Accel(a) => 1 + accels.iter().position(|&x| x == a).unwrap_or(0),
-        }
-    };
-    let dma_lane_index = |a: u16| -> usize {
-        1 + accels.len() + dma_accels.iter().position(|&x| x == a).unwrap_or(0)
-    };
+    rows.sort_unstable();
+    let row = |lane: Lane| rows.iter().position(|&r| r == lane);
+    let mut cells = vec![vec![b' '; width]; rows.len()];
 
     // Bars never overwrite cells another bar already claimed, so nested
     // spans drawn first stay visible inside their parents. The label
     // lands in the longest run of this bar's own fill.
-    let draw_bar =
-        |lane: usize, from: u64, to: u64, label: &str, lanes: &mut Vec<(String, Vec<u8>)>| {
-            let (c0, c1) = (col(from), col(to).max(col(from)));
-            let row = &mut lanes[lane].1;
-            if row[c0] == b' ' {
-                row[c0] = b'[';
+    let draw_bar = |row: &mut [u8], from: u64, to: u64, label: &str| {
+        let (c0, c1) = (col(from), col(to).max(col(from)));
+        if row[c0] == b' ' {
+            row[c0] = b'[';
+        }
+        if row[c1] == b' ' {
+            row[c1] = b']';
+        }
+        let mut filled: Vec<usize> = Vec::new();
+        for (i, cell) in row.iter_mut().enumerate().take(c1).skip(c0 + 1) {
+            if *cell == b' ' {
+                *cell = b'=';
+                filled.push(i);
             }
-            if row[c1] == b' ' {
-                row[c1] = b']';
+        }
+        // Longest contiguous run of cells this bar just filled.
+        let (mut best_start, mut best_len) = (0usize, 0usize);
+        let (mut run_start, mut run_len) = (0usize, 0usize);
+        for (k, &i) in filled.iter().enumerate() {
+            if k > 0 && filled[k - 1] + 1 == i {
+                run_len += 1;
+            } else {
+                run_start = i;
+                run_len = 1;
             }
-            let mut filled: Vec<usize> = Vec::new();
-            for (i, cell) in row.iter_mut().enumerate().take(c1).skip(c0 + 1) {
-                if *cell == b' ' {
-                    *cell = b'=';
-                    filled.push(i);
-                }
+            if run_len > best_len {
+                best_start = run_start;
+                best_len = run_len;
             }
-            // Longest contiguous run of cells this bar just filled.
-            let (mut best_start, mut best_len) = (0usize, 0usize);
-            let (mut run_start, mut run_len) = (0usize, 0usize);
-            for (k, &i) in filled.iter().enumerate() {
-                if k > 0 && filled[k - 1] + 1 == i {
-                    run_len += 1;
-                } else {
-                    run_start = i;
-                    run_len = 1;
-                }
-                if run_len > best_len {
-                    best_start = run_start;
-                    best_len = run_len;
-                }
-            }
-            // Write the label (truncated if need be) when at least a few
-            // characters fit.
-            let n = label.len().min(best_len);
-            if n >= 3 {
-                for (i, &b) in label.as_bytes()[..n].iter().enumerate() {
-                    row[best_start + i] = b;
-                }
-            }
-        };
+        }
+        // Write the label (truncated if need be) when at least a few
+        // characters fit.
+        let n = label.len().min(best_len);
+        if n >= 3 {
+            row[best_start..best_start + n].copy_from_slice(&label.as_bytes()[..n]);
+        }
+    };
 
     // Pair spans and offloads into bars, then draw longest first so
     // nested (shorter) spans stay visible on top of their parents.
-    let mut bars: Vec<(usize, u64, u64, &'static str)> = Vec::new();
-    let mut open_spans: Vec<(CoreId, &'static str, u64)> = Vec::new();
-    let mut open_offloads: Vec<(u16, &'static str, u64)> = Vec::new();
-    for e in &events {
-        match &e.kind {
-            EventKind::SpanStart { core, name } => open_spans.push((*core, name, e.at)),
-            EventKind::SpanEnd { core, name } => {
-                if let Some(pos) = open_spans
-                    .iter()
-                    .rposition(|(c, n, _)| c == core && n == name)
-                {
-                    let (_, _, start) = open_spans.remove(pos);
-                    bars.push((lane_index(*core), start, e.at, name));
-                }
-            }
-            EventKind::OffloadStart { accel, name } => open_offloads.push((*accel, name, e.at)),
-            EventKind::OffloadEnd { accel } => {
-                if let Some(pos) = open_offloads.iter().rposition(|(a, _, _)| a == accel) {
-                    let (_, name, start) = open_offloads.remove(pos);
-                    bars.push((lane_index(CoreId::Accel(*accel)), start, e.at, name));
+    let mut bars: Vec<(usize, u64, u64, Name<'_>)> = Vec::new();
+    let mut open: Vec<(u64, Shape<'_>)> = Vec::new();
+    for (e, shape) in &events {
+        match shape.phase {
+            Phase::Begin | Phase::Open => open.push((e.at, *shape)),
+            Phase::End | Phase::Close => {
+                if let Some(pos) = open.iter().rposition(|(_, o)| shape.closes(o)) {
+                    let (start, o) = open.remove(pos);
+                    bars.extend(row(o.lane).map(|r| (r, start, e.at, o.name)));
                 }
             }
             _ => {}
@@ -1145,61 +917,42 @@ pub fn ascii_timeline(log: &EventLog, width: usize) -> String {
     // Shortest first: children claim their cells before parents fill
     // the gaps around them.
     bars.sort_by_key(|&(_, from, to, _)| to - from);
-    for (lane, from, to, name) in bars {
-        draw_bar(lane, from, to, name, &mut lanes);
+    for (r, from, to, name) in bars {
+        draw_bar(&mut cells[r], from, to, &name.to_string());
     }
 
-    // Point marks draw after the bars: DMA activity, cache misses, joins.
-    for e in &events {
-        match &e.kind {
-            EventKind::DmaIssue {
-                accel, complete_at, ..
-            } => {
-                let lane = dma_lane_index(*accel);
-                let (c0, c1) = (col(e.at), col(*complete_at).max(col(e.at)));
-                let row = &mut lanes[lane].1;
-                for cell in row.iter_mut().take(c1 + 1).skip(c0) {
-                    if *cell == b' ' {
-                        *cell = b'-';
-                    }
+    // Point marks draw after the bars: DMA transfers, cache misses, joins.
+    for (e, shape) in &events {
+        let Some(r) = row(shape.lane) else {
+            continue;
+        };
+        let (c, cells) = (col(e.at), &mut cells[r]);
+        if let (Lane::Dma(_), Phase::Complete) = (shape.lane, shape.phase) {
+            for cell in cells.iter_mut().take(col(shape.end) + 1).skip(c) {
+                if *cell == b' ' {
+                    *cell = b'-';
                 }
             }
-            EventKind::CacheMiss { accel, .. } => {
-                let lane = lane_index(CoreId::Accel(*accel));
-                let c = col(e.at);
-                if lanes[lane].1[c] == b' ' {
-                    lanes[lane].1[c] = b'x';
-                }
+        } else if matches!(e.kind, EventKind::CacheMiss { .. }) {
+            if cells[c] == b' ' {
+                cells[c] = b'x';
             }
-            EventKind::Join { .. } => {
-                let c = col(e.at);
-                lanes[0].1[c] = b'J';
-            }
-            _ => {}
+        } else if matches!(e.kind, EventKind::Join { .. }) {
+            cells[c] = b'J';
         }
     }
 
-    let mut out = String::new();
-    out.push_str(&format!("cycles 0 .. {t_end}\n"));
-    for (label, row) in &lanes {
-        out.push_str(label);
-        out.push('|');
-        out.push_str(std::str::from_utf8(row).expect("ASCII only"));
-        out.push_str("|\n");
+    let mut out = format!("cycles 0 .. {t_end}\n");
+    for (lane, cells) in rows.iter().zip(&cells) {
+        let pad = match lane {
+            Lane::Host => "    ",
+            Lane::Accel(_) => " ",
+            _ => "   ",
+        };
+        let cells = std::str::from_utf8(cells).expect("ASCII only");
+        out.push_str(&format!("{lane}{pad}|{cells}|\n"));
     }
     out
-}
-
-fn end_cycle(e: &Event) -> u64 {
-    match e.kind {
-        EventKind::DmaIssue { complete_at, .. } => complete_at.max(e.at),
-        EventKind::DmaWait { resumed_at, .. } => resumed_at.max(e.at),
-        EventKind::SchedRun { end, .. } => end.max(e.at),
-        EventKind::SchedIdle { until, .. } => until.max(e.at),
-        EventKind::PipeRun { end, .. } => end.max(e.at),
-        EventKind::PipeWait { until, .. } => until.max(e.at),
-        _ => e.at,
-    }
 }
 
 // ---- utilization report --------------------------------------------------
@@ -1404,7 +1157,7 @@ mod tests {
             .iter()
             .find(|e| e.ph == 'X' && e.name == "offload")
             .expect("offload slice present");
-        assert_eq!(slice.tid, accel_tid(0));
+        assert_eq!(slice.tid, Lane::Accel(0).tid());
         assert_eq!(slice.dur, Some(1000));
         assert!(events.iter().any(|e| e.ph == 'i' && e.name == "join"));
         Ok(())
@@ -1457,14 +1210,33 @@ mod tests {
     fn scheduler_lane_round_trips() -> Result<(), SimError> {
         let mut m = Machine::new(MachineConfig::small())?;
         m.events_mut().set_enabled(true);
-        m.sched_note_enqueue(0, 0, 0);
-        m.sched_note_run(100, 0, 0, 600, None);
-        m.sched_note_idle(600, 0, 900);
-        m.sched_note_run(900, 0, 1, 1400, Some(1));
-        m.sched_note_steal(880, 0, 1, 1, 300);
+        m.note(0, EventKind::SchedEnqueue { accel: 0, tile: 0 });
+        let run = |tile, end, stolen_from| EventKind::SchedRun {
+            accel: 0,
+            tile,
+            end,
+            stolen_from,
+        };
+        m.note(100, run(0, 600, None));
+        m.note(
+            600,
+            EventKind::SchedIdle {
+                accel: 0,
+                until: 900,
+            },
+        );
+        m.note(900, run(1, 1400, Some(1)));
+        let steal = EventKind::SchedSteal {
+            thief: 0,
+            victim: 1,
+            tile: 1,
+            cost: 300,
+        };
+        m.note(880, steal);
+        assert_eq!(m.host_now(), 0, "noting is free: no clock moved");
         let json = chrome_trace_json(m.events());
         let events = parse_chrome_trace(&json).unwrap();
-        let lane = sched_tid(0);
+        let lane = Lane::Sched(0).tid();
         assert!(
             events
                 .iter()
@@ -1494,10 +1266,17 @@ mod tests {
     fn pipe_lane_round_trips() -> Result<(), SimError> {
         let mut m = Machine::new(MachineConfig::small())?;
         m.events_mut().set_enabled(true);
-        m.pipe_note_run(1000, 0, 1, 3, 1600, true);
+        let pipe_run = |stage, chunk, end, last| EventKind::PipeRun {
+            accel: 0,
+            stage,
+            chunk,
+            end,
+            last,
+        };
+        m.note(1000, pipe_run(1, 3, 1600, true));
         let json = chrome_trace_json(m.events());
         let events = parse_chrome_trace(&json).unwrap();
-        let lane = pipe_tid(0);
+        let lane = Lane::Pipe(0).tid();
         assert!(
             events
                 .iter()
@@ -1512,15 +1291,22 @@ mod tests {
         assert_eq!(m.stats().pipe_stage_runs, 1);
         assert_eq!(m.stats().pipe_chunks, 1);
 
-        // Wait slices come from the context-side hook.
+        // Wait slices are noted from the stage's own context.
         let mut m = Machine::new(MachineConfig::small())?;
         m.events_mut().set_enabled(true);
         m.offload(0)
             .run(|ctx| {
                 let t = ctx.now();
-                ctx.pipe_note_wait(2, 5, 400, true);
+                let wait = |chunk, until, backpressure| EventKind::PipeWait {
+                    accel: 0,
+                    stage: 2,
+                    chunk,
+                    until,
+                    backpressure,
+                };
+                ctx.note(wait(5, t + 400, true));
                 ctx.compute(400);
-                ctx.pipe_note_wait(2, 6, 100, false);
+                ctx.note(wait(6, t + 500, false));
                 ctx.compute(100);
                 assert_eq!(ctx.now(), t + 500);
                 Ok::<(), SimError>(())
@@ -1532,16 +1318,16 @@ mod tests {
         let events = parse_chrome_trace(&json).unwrap();
         let bp = events
             .iter()
-            .find(|e| e.ph == 'X' && e.name == "backpressure" && e.tid == pipe_tid(0))
+            .find(|e| e.ph == 'X' && e.name == "backpressure" && e.tid == lane)
             .expect("backpressure slice");
         assert_eq!(bp.dur, Some(400));
         assert!(events
             .iter()
-            .any(|e| e.ph == 'X' && e.name == "input wait" && e.tid == pipe_tid(0)));
+            .any(|e| e.ph == 'X' && e.name == "input wait" && e.tid == lane));
         let report = m.utilization_report();
         assert!(!report.contains("pipeline:"), "no runs -> no pipe section");
-        m.pipe_note_run(0, 0, 0, 0, 500, false);
-        m.pipe_note_run(500, 0, 1, 0, 900, true);
+        m.note(0, pipe_run(0, 0, 500, false));
+        m.note(500, pipe_run(1, 0, 900, true));
         assert!(m
             .utilization_report()
             .contains("pipeline: 2 stage runs over 1 chunks"));
@@ -1575,7 +1361,7 @@ mod tests {
         assert!(log.sorted().iter().all(|e| e.core() == CoreId::Accel(2)));
         let json = chrome_trace_json(&log);
         let events = parse_chrome_trace(&json).unwrap();
-        let lane = fault_tid(2);
+        let lane = Lane::Faults(2).tid();
         assert!(
             events
                 .iter()
@@ -1618,7 +1404,13 @@ mod tests {
             "no sched section by default"
         );
         m.offload(0).run(|ctx| ctx.compute(1000))?;
-        m.sched_note_run(0, 0, 0, 1000, None);
+        let run = EventKind::SchedRun {
+            accel: 0,
+            tile: 0,
+            end: 1000,
+            stolen_from: None,
+        };
+        m.note(0, run);
         let report = m.utilization_report();
         assert!(report.contains("scheduler: 1 tiles across 1 accels"));
         assert!(report.contains("imbalance 1.00"));
