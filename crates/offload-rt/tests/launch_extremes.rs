@@ -393,6 +393,36 @@ fn a_kernel_gather_past_the_address_range_is_refused_before_it_issues() {
     }
 }
 
+/// A gather whose packed buffer passes 2^32 bytes: 4096 elements of
+/// 1 MiB. `GatherPlan::total_bytes` used to panic in debug and return 0
+/// in release; it now returns the error `descriptors` returns, and the
+/// kernel's gather is refused before it allocates or issues anything.
+#[test]
+fn a_gather_buffer_past_the_address_range_is_refused() {
+    let mut m = Machine::new(MachineConfig::small()).expect("valid config");
+    let base = data(&mut m).expect("fits");
+    let plan = simcell::GatherPlan::new(base, 1 << 20, vec![0; 4096]);
+    let t0 = Instant::now();
+    let total = plan.total_bytes();
+    assert!(
+        matches!(total, Err(memspace::MemError::AddressOverflow { .. })),
+        "{total:?}"
+    );
+    assert_eq!(total, plan.descriptors().map(|_| 0));
+    let result = m
+        .offload(0)
+        .run(|ctx| {
+            let (now, mark) = (ctx.now(), ctx.local_alloc_mark());
+            let result = ctx.gather(&plan);
+            assert_eq!((ctx.now(), ctx.local_alloc_mark()), (now, mark));
+            result
+        })
+        .expect("the launch itself is fine");
+    assert!(t0.elapsed() < Duration::from_secs(1));
+    assert!(matches!(result, Err(SimError::Memory(_))), "{result:?}");
+    assert_eq!(m.stats().dma_gets, 0, "no descriptor issued");
+}
+
 /// A dispatch over lanes the machine lacks used to arm its fault plan
 /// before checking the lanes, so the refused run left the plan
 /// installed.

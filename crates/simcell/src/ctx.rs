@@ -832,8 +832,11 @@ impl<'m> AccelCtx<'m> {
             let remote = plan.base().offset_by(d.remote_offset)?;
             self.check_mode(DmaDirection::Get, remote, d.bytes)?;
         }
+        // The descriptors tile the packed buffer from zero, so the last
+        // one ends at its size.
+        let total = descs.last().map_or(0, |d| d.local_offset + d.bytes);
         let mark = self.ls.save_alloc();
-        let local = self.alloc_local(plan.total_bytes(), memspace::DMA_ALIGN)?;
+        let local = self.alloc_local(total, memspace::DMA_ALIGN)?;
         let issued_at = self.now;
         let mut failed = None;
         for d in &descs {
@@ -877,7 +880,7 @@ impl<'m> AccelCtx<'m> {
                 accel: self.accel_index,
                 elems: plan.len() as u32,
                 descriptors: descs.len() as u32,
-                bytes: plan.total_bytes(),
+                bytes: total,
                 complete_at: self.now,
             },
         );

@@ -346,13 +346,13 @@ pub(crate) enum Phase {
 
 impl Phase {
     /// The Chrome `ph` letter of a phase written as is.
-    pub(crate) fn ph(self) -> char {
+    pub(crate) fn ph(self) -> u8 {
         match self {
-            Phase::Instant => 'i',
-            Phase::Complete => 'X',
-            Phase::Begin | Phase::Open => 'B',
-            Phase::End | Phase::Close => 'E',
-            Phase::Counter => 'C',
+            Phase::Instant => b'i',
+            Phase::Complete => b'X',
+            Phase::Begin | Phase::Open => b'B',
+            Phase::End | Phase::Close => b'E',
+            Phase::Counter => b'C',
         }
     }
 }

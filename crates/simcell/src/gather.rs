@@ -86,8 +86,17 @@ impl GatherPlan {
     }
 
     /// Total bytes the packed local buffer needs.
-    pub fn total_bytes(&self) -> u32 {
-        self.elem_size * self.indices.len() as u32
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::AddressOverflow`] when the buffer's size passes the
+    /// 32-bit address range, the error [`GatherPlan::descriptors`]
+    /// returns for the same plan.
+    pub fn total_bytes(&self) -> Result<u32, MemError> {
+        u32::try_from(self.indices.len())
+            .ok()
+            .and_then(|n| n.checked_mul(self.elem_size))
+            .ok_or_else(|| self.overflow())
     }
 
     /// The `(base, len)` main-memory footprint covering every requested
@@ -189,7 +198,7 @@ mod tests {
     fn empty_plan_has_no_descriptors() {
         let plan = GatherPlan::new(base(), 4, vec![]);
         assert!(plan.is_empty());
-        assert_eq!(plan.total_bytes(), 0);
+        assert_eq!(plan.total_bytes(), Ok(0));
         assert!(plan.descriptors().unwrap().is_empty());
         assert_eq!(plan.span(), Ok(None));
     }
@@ -274,7 +283,7 @@ mod tests {
             assert_eq!(d.local_offset, expect);
             expect += d.bytes;
         }
-        assert_eq!(expect, plan.total_bytes());
+        assert_eq!(Ok(expect), plan.total_bytes());
     }
 
     #[test]

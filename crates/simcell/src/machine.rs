@@ -1923,7 +1923,7 @@ mod tests {
                         Ok(local) => {
                             assert_eq!(
                                 ctx.local_alloc_mark(),
-                                mark + plan.total_bytes(),
+                                mark + plan.total_bytes().unwrap(),
                                 "exactly one packed buffer may remain allocated"
                             );
                             let v = ctx.local_read_slice::<u32>(local, plan.len() as u32)?;

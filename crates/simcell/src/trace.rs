@@ -46,7 +46,8 @@
 //! ```
 
 use std::borrow::Cow;
-use std::fmt::{self, Write as _};
+use std::fmt;
+use std::io::Write as _;
 
 use dma::DmaDirection;
 
@@ -339,54 +340,68 @@ impl fmt::Display for MachineStats {
 
 /// Appends `s` as a JSON string literal. Text with nothing to escape,
 /// which is nearly all of it, is pushed in one piece.
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
+fn push_json_string(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
     if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
-        out.push_str(s);
+        out.extend_from_slice(s.as_bytes());
     } else {
         for c in s.chars() {
             match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
+                '"' => out.extend_from_slice(b"\\\""),
+                '\\' => out.extend_from_slice(b"\\\\"),
+                '\n' => out.extend_from_slice(b"\\n"),
+                '\r' => out.extend_from_slice(b"\\r"),
+                '\t' => out.extend_from_slice(b"\\t"),
                 c if (c as u32) < 0x20 => {
                     let _ = write!(out, "\\u{:04x}", c as u32);
                 }
-                c => out.push(c),
+                c => out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes()),
             }
         }
     }
-    out.push('"');
+    out.push(b'"');
 }
+
+/// The two decimal digits of every number below 100, in order.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+      2021222324252627282930313233343536373839\
+      4041424344454647484950515253545556575859\
+      6061626364656667686970717273747576777879\
+      8081828384858687888990919293949596979899";
 
 /// Appends `n` in decimal. Every event has a `ts` and a `tid`, so these
-/// skip the `fmt` machinery.
-fn push_u64(out: &mut String, mut n: u64) {
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
+/// skip the `fmt` machinery: room for the digits is made with one copy
+/// of fixed size, and the digits are written into place two at a time.
+fn push_u64(out: &mut Vec<u8>, mut n: u64) {
+    let len = n.checked_ilog10().map_or(1, |log| log as usize + 1);
+    let mut end = out.len() + len;
+    out.extend_from_slice(&[0; 20]);
+    out.truncate(end);
+    while n >= 100 {
+        let pair = 2 * (n % 100) as usize;
+        n /= 100;
+        out[end - 2..end].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        end -= 2;
     }
-    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+    if n >= 10 {
+        let pair = 2 * n as usize;
+        out[end - 2..end].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        out[end - 1] = b'0' + n as u8;
+    }
 }
 
-/// Writes trace records straight into one output buffer.
+/// Writes trace records straight into one output buffer, as bytes: each
+/// piece is ASCII or a whole `str`, so the buffer is UTF-8 throughout.
 struct ChromeWriter {
-    out: String,
+    out: Vec<u8>,
     first: bool,
 }
 
 impl ChromeWriter {
     fn new() -> ChromeWriter {
         ChromeWriter {
-            out: String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"),
+            out: b"{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n".to_vec(),
             first: true,
         }
     }
@@ -394,10 +409,10 @@ impl ChromeWriter {
     /// Starts the next record, up to and including its name.
     fn open(&mut self, name: Name<'_>) {
         if !self.first {
-            self.out.push_str(",\n");
+            self.out.extend_from_slice(b",\n");
         }
         self.first = false;
-        self.out.push_str("{\"name\":");
+        self.out.extend_from_slice(b"{\"name\":");
         match name {
             Name::Text(text) => push_json_string(&mut self.out, text),
             // Formatted names are ASCII letters, digits and spaces:
@@ -411,38 +426,38 @@ impl ChromeWriter {
     /// Emits `shape` as one trace event with phase `ph` at `ts`. `end`
     /// is `Some` for complete ("X") events, which get a `dur` of
     /// `end - ts`.
-    fn event(&mut self, shape: &Shape<'_>, ph: char, ts: u64, end: Option<u64>) {
+    fn event(&mut self, shape: &Shape<'_>, ph: u8, ts: u64, end: Option<u64>) {
         self.open(shape.name);
-        self.out.push_str(",\"ph\":\"");
+        self.out.extend_from_slice(b",\"ph\":\"");
         self.out.push(ph);
-        self.out.push_str("\",\"ts\":");
+        self.out.extend_from_slice(b"\",\"ts\":");
         push_u64(&mut self.out, ts);
-        self.out.push_str(",\"pid\":0,\"tid\":");
+        self.out.extend_from_slice(b",\"pid\":0,\"tid\":");
         push_u64(&mut self.out, shape.lane.tid());
         if let Some(end) = end {
-            self.out.push_str(",\"dur\":");
+            self.out.extend_from_slice(b",\"dur\":");
             push_u64(&mut self.out, end.saturating_sub(ts));
         }
-        if ph == 'i' {
+        if ph == b'i' {
             // Instant events need a scope; thread scope keeps them on
             // their lane.
-            self.out.push_str(",\"s\":\"t\"");
+            self.out.extend_from_slice(b",\"s\":\"t\"");
         }
-        let mut sep = ",\"args\":{\"";
+        let mut sep: &[u8] = b",\"args\":{\"";
         for &(key, value) in shape.args() {
-            self.out.push_str(sep);
-            sep = ",\"";
-            self.out.push_str(key);
-            self.out.push_str("\":");
+            self.out.extend_from_slice(sep);
+            sep = b",\"";
+            self.out.extend_from_slice(key.as_bytes());
+            self.out.extend_from_slice(b"\":");
             match value {
                 Arg::Num(n) => push_u64(&mut self.out, n),
                 Arg::Str(text) => push_json_string(&mut self.out, text),
             }
         }
         if !shape.args().is_empty() {
-            self.out.push('}');
+            self.out.push(b'}');
         }
-        self.out.push('}');
+        self.out.push(b'}');
     }
 
     /// Emits a metadata record; `value` is written unescaped.
@@ -455,8 +470,8 @@ impl ChromeWriter {
     }
 
     fn finish(mut self) -> String {
-        self.out.push_str("\n]}\n");
-        self.out
+        self.out.extend_from_slice(b"\n]}\n");
+        String::from_utf8(self.out).expect("the writer appends only ASCII and whole strs")
     }
 }
 
@@ -515,7 +530,7 @@ pub fn chrome_trace_json(log: &EventLog) -> String {
             Phase::Close => {
                 if let Some(pos) = open.iter().rposition(|(_, o)| shape.closes(o)) {
                     let (start, o) = open.remove(pos);
-                    w.event(&o, 'X', start, Some(e.at));
+                    w.event(&o, b'X', start, Some(e.at));
                 }
             }
             phase => {
@@ -534,11 +549,12 @@ pub fn chrome_trace_json(log: &EventLog) -> String {
 // ---- minimal Chrome trace parser ----------------------------------------
 
 /// One event parsed back out of Chrome trace-event JSON — the fields
-/// the workspace's tests and tools care about.
+/// the workspace's tests and tools care about. The name borrows from
+/// the parsed input, and is owned only when it holds an escape.
 #[derive(Clone, PartialEq, Debug)]
-pub struct ChromeEvent {
+pub struct ChromeEvent<'a> {
     /// Event name (slice label, instant label, or metadata kind).
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Phase: `X` complete, `B`/`E` begin/end, `i` instant, `C` counter,
     /// `M` metadata.
     pub ph: char,
@@ -550,7 +566,7 @@ pub struct ChromeEvent {
     pub tid: u64,
 }
 
-impl ChromeEvent {
+impl ChromeEvent<'_> {
     /// End timestamp of a complete event (`ts` for everything else),
     /// saturating at `u64::MAX`.
     pub fn end(&self) -> u64 {
@@ -558,14 +574,71 @@ impl ChromeEvent {
     }
 
     /// Whether two complete events overlap in time.
-    pub fn overlaps(&self, other: &ChromeEvent) -> bool {
+    pub fn overlaps(&self, other: &ChromeEvent<'_>) -> bool {
         self.ts < other.end() && other.ts < self.end()
     }
 }
 
+/// The object keys the parser acts on; every other key's value is
+/// skipped.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Key {
+    TraceEvents,
+    Name,
+    Ph,
+    Ts,
+    Dur,
+    Tid,
+    Other,
+}
+
+impl Key {
+    /// The key whose text and closing quote start `raw`, the bytes after
+    /// a key's opening quote, with the length of both. Recognises the
+    /// keys the parser acts on and the others every exported event
+    /// carries; `None` for any other key.
+    #[inline(always)]
+    fn at(raw: &[u8]) -> Option<(Key, usize)> {
+        Some(match raw {
+            [b'n', b'a', b'm', b'e', b'"', ..] => (Key::Name, 5),
+            [b'p', b'h', b'"', ..] => (Key::Ph, 3),
+            [b't', b's', b'"', ..] => (Key::Ts, 3),
+            [b'd', b'u', b'r', b'"', ..] => (Key::Dur, 4),
+            [b't', b'i', b'd', b'"', ..] => (Key::Tid, 4),
+            [b'p', b'i', b'd', b'"', ..] => (Key::Other, 4),
+            [b's', b'"', ..] => (Key::Other, 2),
+            [b'a', b'r', b'g', b's', b'"', ..] => (Key::Other, 5),
+            [b't', b'r', b'a', b'c', b'e', b'E', b'v', b'e', b'n', b't', b's', b'"', ..] => {
+                (Key::TraceEvents, 12)
+            }
+            _ => return None,
+        })
+    }
+}
+
+/// The shortest record the exporter writes, with the `,\n` after it:
+/// `{"name":"","ph":"B","ts":0,"pid":0,"tid":0}`. Its input holds at
+/// most one event per this many bytes, so a parse sized by it never
+/// grows its output.
+const SHORTEST_RECORD: usize = 44;
+
+/// A word of eight `"` bytes.
+const QUOTES: u64 = 0x2222_2222_2222_2222;
+/// A word of eight `\` bytes.
+const BACKSLASHES: u64 = 0x5c5c_5c5c_5c5c_5c5c;
+
+/// Marks the zero bytes of `word`: the lowest set bit of the result
+/// is the high bit of its lowest zero byte. Bytes above the lowest zero
+/// byte may be marked falsely, so read only the lowest mark.
+fn zero_bytes(word: u64) -> u64 {
+    word.wrapping_sub(0x0101_0101_0101_0101) & !word & 0x8080_8080_8080_8080
+}
+
 /// A hand-rolled, dependency-free parser for the subset of JSON the
 /// exporter emits (objects, arrays, strings, and unsigned integers).
-/// Strings come back as slices of the input unless they hold an escape.
+/// Keys are matched on their raw bytes, values it skips are checked but
+/// not kept, and strings it keeps come back as slices of the input
+/// unless they hold an escape.
 struct MiniJson<'a> {
     src: &'a str,
     bytes: &'a [u8],
@@ -592,33 +665,43 @@ impl<'a> MiniJson<'a> {
         self.bytes.get(self.pos).copied()
     }
 
+    #[inline(always)]
     fn expect(&mut self, c: u8) -> Result<(), String> {
-        let found = self.peek();
-        if found == Some(c) {
-            self.pos += 1;
+        if self.eat(c) {
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at byte {} (found {:?})",
-                c as char,
-                self.pos,
-                found.map(|b| b as char)
-            ))
+            Err(self.expected(c))
         }
     }
 
+    /// The error for a missing `c` at `pos`, past any whitespace.
+    #[cold]
+    fn expected(&self, c: u8) -> String {
+        format!(
+            "expected '{}' at byte {} (found {:?})",
+            c as char,
+            self.pos,
+            self.bytes.get(self.pos).map(|&b| b as char)
+        )
+    }
+
+    /// Consumes `c` if it is the next byte past any whitespace. The
+    /// exporter writes whitespace only between records, so `c` is
+    /// nearly always the very next byte.
+    #[inline(always)]
     fn eat(&mut self, c: u8) -> bool {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            true
-        } else {
-            false
+        if self.bytes.get(self.pos) != Some(&c) {
+            self.skip_ws();
+            if self.bytes.get(self.pos) != Some(&c) {
+                return false;
+            }
         }
+        self.pos += 1;
+        true
     }
 
     /// A string literal: a slice of the input when it holds no escape,
-    /// an owned decoded copy when it does. Always inlined: every key and
-    /// most values come through here, and nearly none holds an escape.
+    /// an owned decoded copy when it does.
     #[inline(always)]
     fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
@@ -629,6 +712,44 @@ impl<'a> MiniJson<'a> {
             return Ok(Cow::Borrowed(&self.src[start..end]));
         }
         self.decode(start).map(Cow::Owned)
+    }
+
+    /// An object key, recognised from its raw bytes. Only a key that
+    /// holds an escape is decoded, and then matched whole.
+    #[inline(always)]
+    fn key(&mut self) -> Result<Key, String> {
+        self.expect(b'"')?;
+        if let Some((key, len)) = Key::at(&self.bytes[self.pos..]) {
+            self.pos += len;
+            return Ok(key);
+        }
+        let start = self.pos;
+        let end = self.run_end(start)?;
+        if self.bytes[end] == b'"' {
+            self.pos = end + 1;
+            return Ok(Key::Other);
+        }
+        let mut text = self.decode(start)?;
+        text.push('"');
+        Ok(match Key::at(text.as_bytes()) {
+            Some((key, len)) if len == text.len() => key,
+            _ => Key::Other,
+        })
+    }
+
+    /// Skips a string literal, checking its escapes as [`Self::string`]
+    /// would without decoding them.
+    #[inline(always)]
+    fn skip_string(&mut self) -> Result<(), String> {
+        self.expect(b'"')?;
+        loop {
+            let end = self.run_end(self.pos)?;
+            self.pos = end + 1;
+            if self.bytes[end] == b'"' {
+                return Ok(());
+            }
+            self.escape()?;
+        }
     }
 
     /// Decodes a string that holds an escape, from `start` just past its
@@ -651,11 +772,22 @@ impl<'a> MiniJson<'a> {
 
     /// Where the run of plain text from `start` ends: at the next quote
     /// or backslash. Both are ASCII, so the run is a whole slice of `src`.
+    /// Scans eight bytes a step while eight remain.
+    #[inline(always)]
     fn run_end(&self, start: usize) -> Result<usize, String> {
-        let len = self.bytes[start..]
+        let mut at = start;
+        while let Some(word) = self.bytes.get(at..at + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+            let hits = zero_bytes(word ^ QUOTES) | zero_bytes(word ^ BACKSLASHES);
+            if hits != 0 {
+                return Ok(at + (hits.trailing_zeros() / 8) as usize);
+            }
+            at += 8;
+        }
+        let len = self.bytes[at..]
             .iter()
             .position(|&b| b == b'"' || b == b'\\');
-        len.map(|len| start + len)
+        len.map(|len| at + len)
             .ok_or_else(|| "unterminated string".into())
     }
 
@@ -686,89 +818,140 @@ impl<'a> MiniJson<'a> {
         })
     }
 
+    #[inline(always)]
     fn number(&mut self) -> Result<u64, String> {
         self.skip_ws();
         let start = self.pos;
-        let mut n: u64 = 0;
-        while let Some(&b) = self.bytes.get(self.pos).filter(|b| b.is_ascii_digit()) {
-            n = n
-                .checked_mul(10)
-                .and_then(|n| n.checked_add(u64::from(b - b'0')))
-                .ok_or_else(|| format!("number at byte {start} overflows u64"))?;
-            self.pos += 1;
+        let (mut n, mut digits) = (0u64, 0);
+        for &b in &self.bytes[start..] {
+            let digit = b.wrapping_sub(b'0');
+            if digit > 9 {
+                break;
+            }
+            n = n.wrapping_mul(10).wrapping_add(u64::from(digit));
+            digits += 1;
         }
-        if start == self.pos {
+        if digits == 0 {
             return Err(format!("expected number at byte {start}"));
         }
-        Ok(n)
+        self.pos += digits;
+        // Nineteen digits never overflow a u64; only longer numbers are
+        // read again, digit by digit, with the check.
+        if digits < 20 {
+            return Ok(n);
+        }
+        self.bytes[start..self.pos].iter().try_fold(0u64, |n, &b| {
+            n.checked_mul(10)
+                .and_then(|n| n.checked_add(u64::from(b - b'0')))
+                .ok_or_else(|| format!("number at byte {start} overflows u64"))
+        })
     }
 
     /// Skips any JSON value (used for `args` bodies and unknown fields).
+    #[inline(always)]
     fn skip_value(&mut self) -> Result<(), String> {
         match self.peek() {
-            Some(b'"') => {
-                self.string()?;
-                Ok(())
-            }
-            Some(b'{') => {
-                self.expect(b'{')?;
-                if self.eat(b'}') {
-                    return Ok(());
-                }
-                loop {
-                    self.string()?;
-                    self.expect(b':')?;
-                    self.skip_value()?;
-                    if !self.eat(b',') {
-                        break;
-                    }
-                }
-                self.expect(b'}')
-            }
-            Some(b'[') => {
-                self.expect(b'[')?;
-                if self.eat(b']') {
-                    return Ok(());
-                }
-                loop {
-                    self.skip_value()?;
-                    if !self.eat(b',') {
-                        break;
-                    }
-                }
-                self.expect(b']')
-            }
-            Some(b) if b.is_ascii_digit() => {
-                self.number()?;
-                Ok(())
-            }
+            Some(b'"') => self.skip_string(),
+            Some(b) if b.is_ascii_digit() => self.number().map(drop),
+            Some(b'{') => self.skip_object(),
+            Some(b'[') => self.skip_array(),
             other => Err(format!("unexpected value start {other:?}")),
         }
+    }
+
+    /// Skips an object. Out of line, as nested values recurse through it.
+    #[inline(never)]
+    fn skip_object(&mut self) -> Result<(), String> {
+        self.expect(b'{')?;
+        if self.eat(b'}') {
+            return Ok(());
+        }
+        loop {
+            self.skip_string()?;
+            self.expect(b':')?;
+            self.skip_value()?;
+            if !self.eat(b',') {
+                break;
+            }
+        }
+        self.expect(b'}')
+    }
+
+    /// Skips an array. Out of line, as nested values recurse through it.
+    #[inline(never)]
+    fn skip_array(&mut self) -> Result<(), String> {
+        self.expect(b'[')?;
+        if self.eat(b']') {
+            return Ok(());
+        }
+        loop {
+            self.skip_value()?;
+            if !self.eat(b',') {
+                break;
+            }
+        }
+        self.expect(b']')
+    }
+
+    /// One record of the `traceEvents` array.
+    #[inline(always)]
+    fn event(&mut self) -> Result<ChromeEvent<'a>, String> {
+        self.expect(b'{')?;
+        let mut event = ChromeEvent {
+            name: Cow::Borrowed(""),
+            ph: '?',
+            ts: 0,
+            dur: None,
+            tid: 0,
+        };
+        loop {
+            let key = self.key()?;
+            self.expect(b':')?;
+            match key {
+                Key::Name => event.name = self.string()?,
+                Key::Ph => event.ph = self.string()?.chars().next().ok_or("empty ph")?,
+                Key::Ts => event.ts = self.number()?,
+                Key::Dur => event.dur = Some(self.number()?),
+                Key::Tid => event.tid = self.number()?,
+                Key::TraceEvents | Key::Other => self.skip_value()?,
+            }
+            if !self.eat(b',') {
+                break;
+            }
+        }
+        self.expect(b'}')?;
+        if event.ph == '?' {
+            return Err(format!("event {:?} has no phase", event.name));
+        }
+        Ok(event)
     }
 }
 
 /// Parses Chrome trace-event JSON produced by [`chrome_trace_json`]
-/// back into its events.
+/// back into its events, whose names borrow from `json`.
 ///
 /// Deliberately minimal — it understands the exporter's subset of the
 /// format — but strict within it, so the round-trip test doubles as a
-/// validity check on the exporter's output.
+/// validity check on the exporter's output. The events vector is sized
+/// once, from the input's length, so parsing the exporter's output makes
+/// one allocation plus one per name that holds an escape.
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed construct.
-pub fn parse_chrome_trace(json: &str) -> Result<Vec<ChromeEvent>, String> {
+pub fn parse_chrome_trace(json: &str) -> Result<Vec<ChromeEvent<'_>>, String> {
     let mut p = MiniJson::new(json);
     p.expect(b'{')?;
     let mut events = Vec::new();
     loop {
-        let key = p.string()?;
+        let key = p.key()?;
         p.expect(b':')?;
-        if key == "traceEvents" {
+        if key == Key::TraceEvents {
             p.expect(b'[')?;
+            events.reserve((json.len() - p.pos) / SHORTEST_RECORD);
             if !p.eat(b']') {
                 loop {
-                    events.push(parse_event(&mut p)?);
+                    events.push(p.event()?);
                     if !p.eat(b',') {
                         break;
                     }
@@ -784,37 +967,6 @@ pub fn parse_chrome_trace(json: &str) -> Result<Vec<ChromeEvent>, String> {
     }
     p.expect(b'}')?;
     Ok(events)
-}
-
-fn parse_event(p: &mut MiniJson<'_>) -> Result<ChromeEvent, String> {
-    p.expect(b'{')?;
-    let mut event = ChromeEvent {
-        name: String::new(),
-        ph: '?',
-        ts: 0,
-        dur: None,
-        tid: 0,
-    };
-    loop {
-        let key = p.string()?;
-        p.expect(b':')?;
-        match &*key {
-            "name" => event.name = p.string()?.into_owned(),
-            "ph" => event.ph = p.string()?.chars().next().ok_or("empty ph")?,
-            "ts" => event.ts = p.number()?,
-            "dur" => event.dur = Some(p.number()?),
-            "tid" => event.tid = p.number()?,
-            _ => p.skip_value()?,
-        }
-        if !p.eat(b',') {
-            break;
-        }
-    }
-    p.expect(b'}')?;
-    if event.ph == '?' {
-        return Err(format!("event {:?} has no phase", event.name));
-    }
-    Ok(event)
 }
 
 // ---- ASCII timeline ------------------------------------------------------
@@ -1130,8 +1282,9 @@ mod tests {
 
     #[test]
     fn json_string_escaping_round_trips() {
-        let mut out = String::new();
+        let mut out = Vec::new();
         push_json_string(&mut out, "a\"b\\c\nd\te\u{1}f");
+        let out = String::from_utf8(out).unwrap();
         let mut p = MiniJson::new(&out);
         assert_eq!(p.string().unwrap(), "a\"b\\c\nd\te\u{1}f");
     }

@@ -6,9 +6,12 @@
 //! as `Err`, never as a panic. The corruption pass is seeded with the
 //! in-repo [`xrng`] generator, so a failure names a repeatable input.
 
+use std::borrow::Cow;
 use std::panic;
 
-use offload_repro::simcell::{chrome_trace_json, parse_chrome_trace, CoreId, EventKind, EventLog};
+use offload_repro::simcell::{
+    chrome_trace_json, parse_chrome_trace, ChromeEvent, CoreId, EventKind, EventLog,
+};
 use xrng::Rng;
 
 const GOLDEN: [(&str, &str); 2] = [
@@ -25,11 +28,47 @@ const HOSTILE: &[u8] = b"\"\\{}[],:0123456789u/nx\n";
 
 const CORRUPTIONS: usize = 20_000;
 
+/// How many of the prefixes and corruptions parse, and how many do not.
+const SPLIT: (usize, usize) = (1_792, 25_282);
+
+/// FNV-1a over every event of every input that parses, in order.
+const EVENTS_DIGEST: u64 = 0xc7a4_27ab_f0fd_0bba;
+
+/// Folds bytes into a 64-bit FNV-1a hash.
+fn fnv(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+/// Folds one parsed input into `hash`: its event count, then each
+/// event's name (length first), phase, timestamp, duration and thread.
+fn fold_events(mut hash: u64, events: &[ChromeEvent]) -> u64 {
+    hash = fnv(hash, &(events.len() as u64).to_le_bytes());
+    for e in events {
+        let name: &str = &e.name;
+        hash = fnv(hash, &(name.len() as u64).to_le_bytes());
+        hash = fnv(hash, name.as_bytes());
+        hash = fnv(hash, &u32::from(e.ph).to_le_bytes());
+        hash = fnv(hash, &e.ts.to_le_bytes());
+        let dur = e.dur.map_or([0; 9], |d| {
+            let mut bytes = [1; 9];
+            bytes[1..].copy_from_slice(&d.to_le_bytes());
+            bytes
+        });
+        hash = fnv(hash, &dur);
+        hash = fnv(hash, &e.tid.to_le_bytes());
+    }
+    hash
+}
+
 /// Parses `input`, failing the test with the input named by `what` if
-/// the parser panics. Returns whether it parsed.
-fn parses(input: &str, what: &str) -> bool {
-    match panic::catch_unwind(|| parse_chrome_trace(input)) {
-        Ok(result) => result.is_ok(),
+/// the parser panics. Returns the input's events folded into `hash`
+/// when it parses.
+fn parses(input: &str, what: &str, hash: u64) -> Option<u64> {
+    match panic::catch_unwind(|| parse_chrome_trace(input).map(|e| fold_events(hash, &e))) {
+        Ok(result) => result.ok(),
         Err(_) => panic!("parse_chrome_trace panicked on {what}:\n{input}"),
     }
 }
@@ -37,13 +76,20 @@ fn parses(input: &str, what: &str) -> bool {
 #[test]
 fn truncated_and_corrupted_traces_parse_or_err_without_panicking() {
     let (mut ok, mut err) = (0usize, 0usize);
-    let mut tally = |parsed: bool| if parsed { ok += 1 } else { err += 1 };
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    let mut tally = |input: &str, what: String| match parses(input, &what, digest) {
+        Some(hash) => {
+            ok += 1;
+            digest = hash;
+        }
+        None => err += 1,
+    };
 
     for (name, golden) in GOLDEN {
         assert!(golden.is_ascii(), "{name}: corruptions assume ASCII input");
         assert!(parse_chrome_trace(golden).is_ok(), "{name} itself parses");
         for cut in (0..=golden.len()).filter(|&i| golden.is_char_boundary(i)) {
-            tally(parses(&golden[..cut], &format!("{name} cut at byte {cut}")));
+            tally(&golden[..cut], format!("{name} cut at byte {cut}"));
         }
     }
 
@@ -57,16 +103,17 @@ fn truncated_and_corrupted_traces_parse_or_err_without_panicking() {
         }
         // ASCII over ASCII stays valid UTF-8.
         let input = String::from_utf8(bytes).expect("ASCII corruption of ASCII input");
-        tally(parses(&input, &format!("corruption {round} of {name}")));
+        tally(&input, format!("corruption {round} of {name}"));
     }
 
     let prefixes: usize = GOLDEN.iter().map(|(_, g)| g.len() + 1).sum();
     assert_eq!(ok + err, prefixes + CORRUPTIONS);
-    // Both outcomes occur: the pass exercises the error paths and does
-    // not reject everything.
-    assert!(
-        ok > GOLDEN.len() && err > CORRUPTIONS / 2,
-        "{ok} Ok, {err} Err"
+    // Every input is accepted or refused exactly as before, and every
+    // accepted one parses to the same events.
+    assert_eq!((ok, err), SPLIT, "(Ok, Err)");
+    assert_eq!(
+        digest, EVENTS_DIGEST,
+        "digest of the parsed events: {digest:#018x}"
     );
 }
 
@@ -101,6 +148,35 @@ fn out_of_range_numbers_and_broken_escapes_are_errors() {
             Err(e) => assert!(e.contains(reason), "{input}: {e:?} is not {reason:?}"),
         }
     }
+}
+
+/// Every digit count from 1 to 20, at both ends, and `u64::MAX`: the
+/// exporter writes each timestamp as its decimal text, and the parser
+/// reads it back.
+#[test]
+fn numbers_of_every_length_round_trip_through_export_and_parse() {
+    let mut numbers: Vec<u64> = (0..20)
+        .flat_map(|k| [10u64.pow(k) - 1, 10u64.pow(k)])
+        .collect();
+    numbers.push(u64::MAX);
+    numbers.sort_unstable();
+    numbers.dedup();
+    let mut log = EventLog::new();
+    log.set_enabled(true);
+    for &n in &numbers {
+        log.note_static(n, "n");
+    }
+    let json = chrome_trace_json(&log);
+    for n in &numbers {
+        assert!(json.contains(&format!("\"ts\":{n},")), "export writes {n}");
+    }
+    let parsed: Vec<u64> = parse_chrome_trace(&json)
+        .expect("exporter emits valid JSON")
+        .iter()
+        .filter(|e| e.ph != 'M')
+        .map(|e| e.ts)
+        .collect();
+    assert_eq!(parsed, numbers);
 }
 
 #[test]
@@ -156,11 +232,16 @@ fn names_that_need_escaping_round_trip_through_export_and_parse() {
     ] {
         assert!(json.contains(escaped), "export writes {escaped:?}");
     }
-    let names: Vec<String> = parse_chrome_trace(&json)
+    let names: Vec<Cow<'_, str>> = parse_chrome_trace(&json)
         .expect("exporter emits valid JSON")
         .into_iter()
         .filter(|e| e.ph != 'M')
         .map(|e| e.name)
         .collect();
     assert_eq!(names, expected);
+    // A name borrows from the JSON unless the exporter had to escape it.
+    for name in &names {
+        let escaped = name.contains(|c: char| c == '"' || c == '\\' || c < ' ');
+        assert_eq!(matches!(name, Cow::Owned(_)), escaped, "{name:?}");
+    }
 }
